@@ -3,6 +3,8 @@ package checkpoint_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -246,5 +248,42 @@ func TestEncodeRejectsForeignPolicyState(t *testing.T) {
 	c.Session.PolicyState = struct{ X int }{1}
 	if _, err := checkpoint.Encode(c); err == nil {
 		t.Fatal("encoding an unknown policy state type must fail")
+	}
+}
+
+// TestEncodeGolden pins the wire format byte for byte: a SHIFT session
+// drained mid-stream — records, timings, momentum buffers, the NCC image
+// history and counters — must encode to the committed golden bytes. The
+// benchmark pins only the total journal size, not the content.
+func TestEncodeGolden(t *testing.T) {
+	got, _ := encodeAt(t, 60)
+	want, err := os.ReadFile(filepath.Join("testdata", "shift_snapshot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		n := 0
+		for n < len(got) && n < len(want) && got[n] == want[n] {
+			n++
+		}
+		t.Fatalf("encoding differs from the golden at byte %d (%d bytes, golden %d)", n, len(got), len(want))
+	}
+	// The fixture must exercise every section kind the golden is meant to pin.
+	c, err := checkpoint.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := c.Session.PolicyState.(*pipeline.State)
+	if !ok {
+		t.Fatalf("golden policy state is %T, want *pipeline.State", c.Session.PolicyState)
+	}
+	d := st.Sched.Data()
+	momentum := 0
+	for _, buf := range d.Bufs {
+		momentum += len(buf)
+	}
+	if d.LastImg == nil || d.LastBox == nil || momentum == 0 || len(c.Counters) != 2 || len(c.Session.Records) != 60 {
+		t.Fatalf("golden lacks coverage: images %v/%v, %d momentum entries, %d counters, %d records",
+			d.LastImg != nil, d.LastBox != nil, momentum, len(c.Counters), len(c.Session.Records))
 	}
 }
