@@ -67,10 +67,10 @@ func NewOracle(sys *zoo.System, metric OracleMetric) (*Oracle, error) {
 	if metric != OracleEnergy && metric != OracleAccuracy && metric != OracleLatency {
 		return nil, fmt.Errorf("baseline: unknown oracle metric %d", metric)
 	}
-	seen := map[string]bool{}
+	seen := map[zoo.EngineKey]bool{}
 	var cands []zoo.Pair
 	for _, p := range sys.RuntimePairs() {
-		key := p.Model + "/" + p.Kind.String()
+		key := p.EngineKey()
 		if seen[key] {
 			continue
 		}

@@ -35,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"repro/internal/pipeline"
 	"repro/internal/runtime"
@@ -136,11 +136,17 @@ func Encode(c *Checkpoint) ([]byte, error) {
 			d.Name, len(d.Records), len(d.Timings))
 	}
 
-	var out writer
-	out.bytes([]byte(magic))
-	out.u32(version)
+	names := make([]string, 0, len(c.Counters))
+	for name := range c.Counters {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 
-	var p writer
+	p := writer{buf: make([]byte, 0, encodedSize(c))}
+	p.buf = append(p.buf, magic...)
+	p.u32(version)
+
+	sec := p.open(secStream)
 	p.str(d.Name)
 	p.str(d.PolicyName)
 	p.f64(d.PeriodSec)
@@ -152,8 +158,9 @@ func Encode(c *Checkpoint) ([]byte, error) {
 	p.pair(d.Prev)
 	p.str(c.Scenario)
 	p.u64(c.RenderSeed)
-	out.section(secStream, p.take())
+	p.close(sec)
 
+	sec = p.open(secRecords)
 	p.i64(int64(len(d.Records)))
 	for _, r := range d.Records {
 		p.i64(int64(r.Index))
@@ -173,8 +180,9 @@ func Encode(c *Checkpoint) ([]byte, error) {
 		p.f64(r.Similarity)
 		p.f64(r.Gate)
 	}
-	out.section(secRecords, p.take())
+	p.close(sec)
 
+	sec = p.open(secTimings)
 	p.i64(int64(len(d.Timings)))
 	for _, t := range d.Timings {
 		p.i64(int64(t.Arrival))
@@ -183,30 +191,67 @@ func Encode(c *Checkpoint) ([]byte, error) {
 		p.i64(int64(t.Wait))
 		p.i64(int64(t.Deadline))
 	}
-	out.section(secTimings, p.take())
+	p.close(sec)
 
+	sec = p.open(secPolicy)
 	if err := encodePolicy(&p, d.PolicyState); err != nil {
 		return nil, err
 	}
-	out.section(secPolicy, p.take())
+	p.close(sec)
 
+	sec = p.open(secResidency)
 	p.bool(d.HaveHeld)
 	p.pair(d.Held)
-	out.section(secResidency, p.take())
+	p.close(sec)
 
-	names := make([]string, 0, len(c.Counters))
-	for name := range c.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	sec = p.open(secCounters)
 	p.i64(int64(len(names)))
 	for _, name := range names {
 		p.str(name)
 		p.u64(c.Counters[name])
 	}
-	out.section(secCounters, p.take())
+	p.close(sec)
 
-	return out.take(), nil
+	return p.buf, nil
+}
+
+// encodedSize returns the exact length Encode produces for c, so the output
+// is written into one buffer that never grows.
+func encodedSize(c *Checkpoint) int {
+	const (
+		framing = 12 // section id, length and CRC
+		record  = 8 + 1 + 8*8 + 3 + 2*8
+		timing  = 5 * 8
+	)
+	d := c.Session
+	n := len(magic) + 4 + 6*framing
+	n += strSize(d.Name) + strSize(d.PolicyName) + 6*8 + pairSize(d.Prev) + strSize(c.Scenario) + 8
+	n += 8 + len(d.Records)*record
+	for _, r := range d.Records {
+		n += pairSize(r.Pair)
+	}
+	n += 8 + len(d.Timings)*timing
+	n++ // policy kind
+	if st, ok := d.PolicyState.(*pipeline.State); ok {
+		n += pairSize(st.Cur) + schedStateSize(st.Sched.Data())
+	}
+	n += 1 + pairSize(d.Held)
+	n += 8
+	for name := range c.Counters {
+		n += strSize(name) + 8
+	}
+	return n
+}
+
+func schedStateSize(d *sched.StateData) int {
+	n := 8
+	for _, model := range d.Models {
+		n += strSize(model) + 8 + 8 + 2
+	}
+	for _, buf := range d.Bufs {
+		n += 8 * len(buf)
+	}
+	return n + imageSize(d.LastImg) + imageSize(d.LastBox) + 5*8
 }
 
 // Decode parses a serialized checkpoint. The input is untrusted: every read

@@ -287,3 +287,27 @@ func TestEncodeGolden(t *testing.T) {
 			d.LastImg != nil, d.LastBox != nil, momentum, len(c.Counters), len(c.Session.Records))
 	}
 }
+
+// TestEncodedSizeExact pins Encode's presize to the bytes it writes, across
+// stream positions, with and without counters and portable policy state.
+func TestEncodedSizeExact(t *testing.T) {
+	for _, k := range []int{0, 1, 37, 119} {
+		b, _ := encodeAt(t, k)
+		c, err := checkpoint.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strip := range []bool{false, true} {
+			if strip {
+				c.Counters, c.Session.PolicyState = nil, nil
+			}
+			out, err := checkpoint.Encode(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := checkpoint.EncodedSize(c); n != len(out) {
+				t.Fatalf("k=%d stripped=%v: presized %d bytes, encoded %d", k, strip, n, len(out))
+			}
+		}
+	}
+}

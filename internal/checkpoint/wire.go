@@ -14,24 +14,33 @@ import (
 
 func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
-// writer accumulates little-endian primitives. take returns the bytes built
-// so far and resets the writer, so one writer serves every section payload.
+// writer appends little-endian primitives to one buffer, the whole
+// checkpoint. Sections are framed in place: open writes the header with a
+// length placeholder, close back-patches the length and appends the CRC of
+// the payload where it sits.
 type writer struct {
 	buf []byte
 }
 
-func (w *writer) take() []byte {
-	b := w.buf
-	w.buf = nil
-	return b
+// open starts section id and returns the offset of its payload.
+func (w *writer) open(id uint32) int {
+	w.u32(id)
+	w.u32(0)
+	return len(w.buf)
 }
 
-func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
-func (w *writer) u8(v uint8)     { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32)   { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)   { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i64(v int64)    { w.u64(uint64(v)) }
-func (w *writer) f64(v float64)  { w.u64(math.Float64bits(v)) }
+// close ends the section whose payload starts at start.
+func (w *writer) close(start int) {
+	payload := w.buf[start:]
+	binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(len(payload)))
+	w.u32(crcIEEE(payload))
+}
+
+func (w *writer) u8(v uint8)    { w.buf = append(w.buf, v) }
+func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
+func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 func (w *writer) bool(v bool) {
 	if v {
@@ -52,6 +61,18 @@ func (w *writer) pair(p zoo.Pair) {
 	w.i64(int64(p.Kind))
 }
 
+// strSize, pairSize and imageSize are the encoded lengths of str, pair and
+// image.
+func strSize(s string) int    { return 4 + len(s) }
+func pairSize(p zoo.Pair) int { return strSize(p.Model) + strSize(p.ProcID) + 8 }
+
+func imageSize(im *img.Image) int {
+	if im == nil {
+		return 1
+	}
+	return 1 + 3*4 + len(im.Pix)
+}
+
 // image writes a presence byte, dimensions and raw pixels (nil is absent).
 func (w *writer) image(im *img.Image) {
 	if im == nil {
@@ -63,14 +84,6 @@ func (w *writer) image(im *img.Image) {
 	w.u32(uint32(im.H))
 	w.u32(uint32(len(im.Pix)))
 	w.buf = append(w.buf, im.Pix...)
-}
-
-// section frames a payload: id, length, payload, CRC.
-func (w *writer) section(id uint32, payload []byte) {
-	w.u32(id)
-	w.u32(uint32(len(payload)))
-	w.bytes(payload)
-	w.u32(crcIEEE(payload))
 }
 
 // reader consumes little-endian primitives with a sticky error: the first

@@ -21,6 +21,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -337,7 +338,7 @@ type Fleet struct {
 	// value. Completed streams teach it — and displaced streams teach it
 	// their partial working set at fault time, so the residency-affinity
 	// placement re-learns where a migrating scenario's engines live.
-	affinity map[string]map[string]zoo.Pair
+	affinity map[string]map[zoo.EngineKey]zoo.Pair
 	seq      int
 
 	// auto is the elastic controller (nil when disabled). live counts
@@ -408,7 +409,7 @@ func New(cfg Config) (*Fleet, error) {
 		seed:         cfg.Seed,
 		newSystem:    newSystem,
 		evict:        cfg.Eviction,
-		affinity:     map[string]map[string]zoo.Pair{},
+		affinity:     map[string]map[zoo.EngineKey]zoo.Pair{},
 		durable:      cfg.Durability,
 		journalStore: map[*StreamOutcome]*journalEntry{},
 		nregions:     max(1, cfg.Regions),
@@ -501,18 +502,15 @@ func (f *Fleet) buildDevice(dc DeviceConfig, poolMB int64) (*Device, error) {
 func (f *Fleet) Devices() []*Device { return f.devices }
 
 // Affinity returns the learned (model, kind) engine set for a scenario, in
-// deterministic key order.
+// engine-key string order ("YoloV7-Tiny/GPU" before "YoloV7/GPU"), which
+// residency placement and pre-warm observe.
 func (f *Fleet) Affinity(scenario string) []zoo.Pair {
 	m := f.affinity[scenario]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	pairs := make([]zoo.Pair, 0, len(m))
+	for _, p := range m {
+		pairs = append(pairs, p)
 	}
-	sort.Strings(keys)
-	pairs := make([]zoo.Pair, 0, len(keys))
-	for _, k := range keys {
-		pairs = append(pairs, m[k])
-	}
+	slices.SortFunc(pairs, func(a, b zoo.Pair) int { return a.EngineKey().Compare(b.EngineKey()) })
 	return pairs
 }
 
@@ -1179,11 +1177,15 @@ func (f *Fleet) teach(scenario string, recs []runtime.FrameRecord) {
 	}
 	m := f.affinity[scenario]
 	if m == nil {
-		m = map[string]zoo.Pair{}
+		m = map[zoo.EngineKey]zoo.Pair{}
 		f.affinity[scenario] = m
 	}
-	for _, rec := range recs {
-		m[rec.Pair.Model+"/"+rec.Pair.Kind.String()] = rec.Pair
+	for i, rec := range recs {
+		// Runs of one pair dominate a stream; the last write per key wins.
+		if i+1 < len(recs) && recs[i+1].Pair == rec.Pair {
+			continue
+		}
+		m[rec.Pair.EngineKey()] = rec.Pair
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/loader"
 	"repro/internal/runtime"
@@ -434,5 +435,49 @@ func TestShapedWorkload(t *testing.T) {
 	// A rate above the declared peak is a thinning-contract violation.
 	if _, err := GenerateShapedWorkload(cfg, burst, 0.5, src, pol); err == nil {
 		t.Fatal("rate above peak should fail")
+	}
+}
+
+// TestAffinityOrderIsEngineKeyString pins the order residency placement and
+// pre-warm observe: engine-key string order, where a model sorts after the
+// models its name prefixes ('-' < '/'), and the last pair taught for each
+// (model, kind) is the one kept.
+func TestAffinityOrderIsEngineKeyString(t *testing.T) {
+	f := &Fleet{affinity: map[string]map[zoo.EngineKey]zoo.Pair{}}
+	p := func(model, proc string, kind accel.Kind) runtime.FrameRecord {
+		return runtime.FrameRecord{Pair: zoo.Pair{Model: model, ProcID: proc, Kind: kind}}
+	}
+	f.teach("s", []runtime.FrameRecord{
+		p(detmodel.YoloV7, "gpu", accel.KindGPU),
+		p(detmodel.YoloV7, "dla0", accel.KindDLA),
+		p(detmodel.YoloV7Tiny, "dla1", accel.KindDLA),
+		p(detmodel.SSDMobilenetV2, "gpu", accel.KindGPU),
+		p(detmodel.YoloV7X, "gpu", accel.KindGPU),
+		p(detmodel.SSDMobilenet320, "gpu", accel.KindGPU),
+		p(detmodel.YoloV7, "dla1", accel.KindDLA),
+		p(detmodel.YoloV7E6E, "dla0", accel.KindDLA),
+		p(detmodel.YoloV7Tiny, "gpu", accel.KindGPU),
+		p(detmodel.YoloV7Tiny, "dla0", accel.KindDLA),
+	})
+	f.teach("s", []runtime.FrameRecord{p(detmodel.YoloV7, "oakd", accel.KindOAKD)})
+	want := []string{
+		"SSD-MobilenetV2-320/GPU@gpu",
+		"SSD-MobilenetV2/GPU@gpu",
+		"YoloV7-E6E/DLA@dla0",
+		"YoloV7-Tiny/DLA@dla0",
+		"YoloV7-Tiny/GPU@gpu",
+		"YoloV7-X/GPU@gpu",
+		"YoloV7/DLA@dla1",
+		"YoloV7/GPU@gpu",
+		"YoloV7/OAK-D@oakd",
+	}
+	got := f.Affinity("s")
+	if len(got) != len(want) {
+		t.Fatalf("Affinity holds %d engines, want %d: %v", len(got), len(want), got)
+	}
+	for i, pair := range got {
+		if s := pair.EngineKey().String() + "@" + pair.ProcID; s != want[i] {
+			t.Fatalf("Affinity[%d] = %s, want %s (all: %v)", i, s, want[i], got)
+		}
 	}
 }

@@ -151,7 +151,7 @@ func (l *Loader) info(pair zoo.Pair) (*pairInfo, error) {
 
 // residencyKey names an engine within its pool.
 func residencyKey(model string, kind accel.Kind) string {
-	return model + "/" + kind.String()
+	return zoo.EngineKey{Model: model, Kind: kind}.String()
 }
 
 // Stats returns a copy of the accumulated loader statistics.

@@ -12,6 +12,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/accel"
 	"repro/internal/confgraph"
@@ -270,11 +271,18 @@ func SwapCount(r *Result) int {
 }
 
 // PairsUsed returns the number of distinct (model, kind) pairs that served
-// at least one frame (Table III "Pairs Used").
+// at least one frame (Table III "Pairs Used"). The set is a short slice with
+// room for the default zoo's 18 engines on the stack, and runs of one pair
+// are looked up once.
 func PairsUsed(r *Result) int {
-	seen := map[string]bool{}
-	for _, rec := range r.Records {
-		seen[rec.Pair.Model+"/"+rec.Pair.Kind.String()] = true
+	seen := make([]zoo.EngineKey, 0, 32)
+	for i, rec := range r.Records {
+		if i > 0 && rec.Pair == r.Records[i-1].Pair {
+			continue
+		}
+		if k := rec.Pair.EngineKey(); !slices.Contains(seen, k) {
+			seen = append(seen, k)
+		}
 	}
 	return len(seen)
 }

@@ -191,7 +191,7 @@ type Predictor struct {
 	// Interning: engines are identified by residency key (model + kind);
 	// the first-seen pair keeps its ProcID so predictions can be reissued
 	// as loads.
-	ids   map[string]uint16
+	ids   map[zoo.EngineKey]uint16
 	pairs []zoo.Pair
 
 	// hist is the sequence of recent distinct pair IDs, newest first.
@@ -222,7 +222,7 @@ func New(cfg Config) *Predictor {
 	cfg = cfg.WithDefaults()
 	p := &Predictor{
 		cfg:    cfg,
-		ids:    map[string]uint16{},
+		ids:    map[zoo.EngineKey]uint16{},
 		base:   make([]baseEntry, 1<<cfg.BaseBits),
 		tables: make([][]tagEntry, len(cfg.Histories)),
 	}
@@ -235,12 +235,10 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Key is the residency identity the predictor tracks — model plus engine
-// kind, matching the loader's resident-engine key.
-func Key(pair zoo.Pair) string { return pair.Model + "/" + pair.Kind.String() }
-
+// intern returns the ID of pair's engine — the residency identity the
+// predictor tracks, matching the loader's resident-engine key.
 func (p *Predictor) intern(pair zoo.Pair) uint16 {
-	k := Key(pair)
+	k := pair.EngineKey()
 	if id, ok := p.ids[k]; ok {
 		return id
 	}
@@ -560,9 +558,9 @@ func (p *Predictor) Restore(st *State) error {
 		}
 	}
 	p.pairs = append([]zoo.Pair(nil), st.Pairs...)
-	p.ids = make(map[string]uint16, len(p.pairs))
+	p.ids = make(map[zoo.EngineKey]uint16, len(p.pairs))
 	for i, pair := range p.pairs {
-		p.ids[Key(pair)] = uint16(i)
+		p.ids[pair.EngineKey()] = uint16(i)
 	}
 	p.hist = append([]uint16(nil), st.Hist...)
 	p.last, p.haveLast = st.Last, st.HaveL

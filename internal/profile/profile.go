@@ -42,14 +42,8 @@ type Traits struct {
 }
 
 // PairKey identifies a (model, processor-kind) combination in normalized
-// trait tables.
-type PairKey struct {
-	Model string
-	Kind  accel.Kind
-}
-
-// String returns "model/KIND".
-func (k PairKey) String() string { return k.Model + "/" + k.Kind.String() }
+// trait tables: the zoo's engine identity.
+type PairKey = zoo.EngineKey
 
 // Characterization is the full offline profiling result for a system.
 type Characterization struct {
@@ -138,7 +132,7 @@ func (c *Characterization) normalizePairScores(sys *zoo.System) {
 	var recs []rec
 	seen := map[PairKey]bool{}
 	for _, p := range sys.RuntimePairs() {
-		key := PairKey{Model: p.Model, Kind: p.Kind}
+		key := p.EngineKey()
 		if seen[key] {
 			continue
 		}

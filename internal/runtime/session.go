@@ -63,7 +63,7 @@ func newSession(sys *zoo.System, dml *loader.Loader, spec StreamSpec, name strin
 	eng.stream = name
 	if spec.Prefetch != nil {
 		eng.pred = predict.New(*spec.Prefetch)
-		eng.prefReady = map[string]prefFlight{}
+		eng.prefReady = map[zoo.EngineKey]prefFlight{}
 	}
 	return &Session{
 		spec: spec,

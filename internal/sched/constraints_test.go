@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/detmodel"
+	"repro/internal/zoo"
 )
 
 func TestConstraintValidation(t *testing.T) {
@@ -94,9 +95,9 @@ func TestConstrainedDecisionsStayAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admissible := map[string]bool{}
+	admissible := map[zoo.EngineKey]bool{}
 	for _, p := range s.Pairs() {
-		admissible[p.Model+"/"+p.Kind.String()] = true
+		admissible[p.EngineKey()] = true
 	}
 	cur := s.Pairs()[0]
 	for i := 0; i < 40; i++ {
@@ -106,7 +107,7 @@ func TestConstrainedDecisionsStayAdmissible(t *testing.T) {
 		}
 		dec := s.Decide(cur, detect(t, f, cur.Model, frame), frame)
 		cur = dec.Pair
-		if !admissible[cur.Model+"/"+cur.Kind.String()] {
+		if !admissible[cur.EngineKey()] {
 			t.Fatalf("decision %d picked inadmissible pair %v", i, cur)
 		}
 	}

@@ -116,7 +116,7 @@ func TestHysteresisPreventsMarginalSwaps(t *testing.T) {
 		if dec.Rescheduled && dec.Pair != cur {
 			// A swap is only legitimate if the incumbent's model failed the
 			// accuracy filter entirely.
-			if _, ok := dec.Predicted[cur.Model]; ok && dec.MetThreshold {
+			if _, ok := s.Predicted()[cur.Model]; ok && dec.MetThreshold {
 				t.Fatalf("iteration %d: swapped to %v despite infinite margin", i, dec.Pair)
 			}
 		}

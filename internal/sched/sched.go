@@ -97,9 +97,6 @@ type Decision struct {
 	Similarity float64
 	// Gate is s × c, compared against AccuracyThreshold.
 	Gate float64
-	// Predicted holds the momentum-averaged accuracy predictions (R in
-	// Algorithm 1) when a re-schedule happened.
-	Predicted map[string]float64
 	// MetThreshold reports whether any candidate met the accuracy goal
 	// (when false, the scheduler fell back to efficiency-only selection).
 	MetThreshold bool
@@ -127,6 +124,7 @@ type Scheduler struct {
 	modelIdx   map[string]int
 	modelNames []string
 	bufs       [][]float64 // per-model momentum windows
+	windows    [][]float64 // per-model backing store of bufs, capacity Momentum
 	rVals      []float64   // momentum-averaged prediction per model
 	rSet       []bool      // model has at least one buffered prediction
 	valid      []bool      // model passed the accuracy filter this decision
@@ -214,14 +212,14 @@ func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, 
 	// candidates read their terms from it, keeping one source of truth.
 	s.knobTerms = make(map[profile.PairKey][2]float64, len(pairs))
 	for _, p := range pairs {
-		key := profile.PairKey{Model: p.Model, Kind: p.Kind}
+		key := p.EngineKey()
 		s.knobTerms[key] = [2]float64{
 			ch.EnergyScore[key] * cfg.Knobs.Energy,
 			ch.LatencyScore[key] * cfg.Knobs.Latency,
 		}
 	}
 	for _, p := range s.candidatesSorted() {
-		terms := s.knobTerms[profile.PairKey{Model: p.Model, Kind: p.Kind}]
+		terms := s.knobTerms[p.EngineKey()]
 		s.candidates = append(s.candidates, candidate{
 			pair:     p,
 			modelIdx: s.internModel(p.Model),
@@ -244,6 +242,7 @@ func (s *Scheduler) internModel(model string) int {
 	s.modelIdx[model] = idx
 	s.modelNames = append(s.modelNames, model)
 	s.bufs = append(s.bufs, nil)
+	s.windows = append(s.windows, nil)
 	s.rVals = append(s.rVals, 0)
 	s.rSet = append(s.rSet, false)
 	s.valid = append(s.valid, false)
@@ -350,12 +349,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 		return Decision{Pair: cur, Rescheduled: false, Similarity: sim, Gate: gate}
 	}
 	for _, p := range preds {
-		idx := s.internModel(p.Model)
-		buf := append(s.bufs[idx], p.Acc)
-		if len(buf) > s.cfg.Momentum {
-			buf = buf[len(buf)-s.cfg.Momentum:]
-		}
-		s.bufs[idx] = buf
+		s.push(s.internModel(p.Model), p.Acc)
 	}
 	for idx, buf := range s.bufs {
 		if len(buf) == 0 {
@@ -405,7 +399,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 	// predictions contributes accuracy 0, as with the map's zero value.
 	curIdx := s.internModel(cur.Model)
 	if best != cur && s.valid[curIdx] {
-		terms := s.knobTerms[profile.PairKey{Model: cur.Model, Kind: cur.Kind}]
+		terms := s.knobTerms[cur.EngineKey()]
 		curR := 0.0
 		if s.rSet[curIdx] {
 			curR = s.rVals[curIdx]
@@ -415,21 +409,50 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 			best = cur
 		}
 	}
-	// Predicted mirrors the momentum averages for diagnostics and tests.
+	return Decision{
+		Pair:         best,
+		Rescheduled:  true,
+		Similarity:   sim,
+		Gate:         gate,
+		MetThreshold: met,
+	}
+}
+
+// push appends v to model idx's momentum window, dropping the oldest entry
+// once the window holds Momentum values. The window is shifted in place in
+// the backing store, so the kept values and their order, and with them the
+// averaged sums, are those of a plain append-and-trim.
+func (s *Scheduler) push(idx int, v float64) {
+	buf := s.bufs[idx]
+	if buf == nil {
+		buf = s.window(idx)
+	}
+	if m := s.cfg.Momentum; len(buf) >= m {
+		buf = buf[:copy(buf, buf[len(buf)-m+1:])]
+	}
+	s.bufs[idx] = append(buf, v)
+}
+
+// window returns model idx's empty momentum window over its backing store,
+// allocated once per model and reused across Reset and Restore.
+func (s *Scheduler) window(idx int) []float64 {
+	if s.windows[idx] == nil {
+		s.windows[idx] = make([]float64, 0, s.cfg.Momentum)
+	}
+	return s.windows[idx][:0]
+}
+
+// Predicted returns the momentum-averaged accuracy predictions (R in
+// Algorithm 1) per model as of the last re-schedule — a diagnostic built on
+// demand, so the decision path itself allocates nothing.
+func (s *Scheduler) Predicted() map[string]float64 {
 	r := make(map[string]float64, len(s.modelNames))
 	for idx, set := range s.rSet {
 		if set {
 			r[s.modelNames[idx]] = s.rVals[idx]
 		}
 	}
-	return Decision{
-		Pair:         best,
-		Rescheduled:  true,
-		Similarity:   sim,
-		Gate:         gate,
-		Predicted:    r,
-		MetThreshold: met,
-	}
+	return r
 }
 
 // candidatesSorted returns pairs in deterministic order with the single
@@ -437,10 +460,10 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 // lexicographically first (e.g. dla0 over dla1) hosts single-stream
 // inference; the loader may still spread prefetched models across both DLAs.
 func (s *Scheduler) candidatesSorted() []zoo.Pair {
-	seen := map[string]bool{}
+	seen := map[zoo.EngineKey]bool{}
 	out := make([]zoo.Pair, 0, len(s.pairs))
 	for _, p := range s.pairs {
-		key := p.Model + "/" + p.Kind.String()
+		key := p.EngineKey()
 		if seen[key] {
 			continue
 		}

@@ -181,6 +181,7 @@ func TestEnergyKnobSteersToFrugalPairs(t *testing.T) {
 	cur := pairFor(t, s, detmodel.YoloV7, accel.KindGPU)
 	frame := hardFrame(5)
 	dec := s.Decide(cur, detect(t, f, detmodel.YoloV7, frame), frame)
+	predicted := s.Predicted()
 	if !dec.Rescheduled {
 		t.Fatal("expected reschedule")
 	}
@@ -190,8 +191,8 @@ func TestEnergyKnobSteersToFrugalPairs(t *testing.T) {
 	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
 	best := f.ch.EnergyScore[key]
 	for k, v := range f.ch.EnergyScore {
-		r, predicted := dec.Predicted[k.Model]
-		if !predicted || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
+		r, ok := predicted[k.Model]
+		if !ok || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
 			continue
 		}
 		if v > best+1e-9 {
@@ -209,14 +210,15 @@ func TestLatencyKnobSteersToFastPairs(t *testing.T) {
 	cur := pairFor(t, s, detmodel.YoloV7, accel.KindGPU)
 	frame := hardFrame(6)
 	dec := s.Decide(cur, detect(t, f, detmodel.YoloV7, frame), frame)
+	predicted := s.Predicted()
 	if !dec.Rescheduled {
 		t.Fatal("expected reschedule")
 	}
 	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
 	best := f.ch.LatencyScore[key]
 	for k, v := range f.ch.LatencyScore {
-		r, predicted := dec.Predicted[k.Model]
-		if !predicted || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
+		r, ok := predicted[k.Model]
+		if !ok || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
 			continue
 		}
 		if v > best+1e-9 {
@@ -330,9 +332,9 @@ func TestDecisionDeterminism(t *testing.T) {
 
 func TestCandidatesDeduplicateDLAs(t *testing.T) {
 	s := newSched(t, DefaultConfig())
-	seen := map[string]int{}
+	seen := map[zoo.EngineKey]int{}
 	for _, p := range s.candidatesSorted() {
-		seen[p.Model+"/"+p.Kind.String()]++
+		seen[p.EngineKey()]++
 	}
 	for k, n := range seen {
 		if n != 1 {

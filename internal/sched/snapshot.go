@@ -129,7 +129,9 @@ func (s *Scheduler) Restore(st *State) {
 	s.Reset()
 	for i, name := range st.models {
 		idx := s.internModel(name)
-		s.bufs[idx] = append([]float64(nil), st.bufs[i]...)
+		if len(st.bufs[i]) > 0 {
+			s.bufs[idx] = append(s.window(idx), st.bufs[i]...)
+		}
 		s.rVals[idx] = st.rVals[i]
 		s.rSet[idx] = st.rSet[i]
 		s.valid[idx] = st.valid[i]

@@ -4,19 +4,37 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/detmodel"
 	"repro/internal/scene"
+	"repro/internal/zoo"
 )
+
+// decided is one decision with the momentum averages read right after it —
+// present only when the decision re-scheduled.
+type decided struct {
+	Decision
+	Predicted map[string]float64
+}
+
+// decideWith runs one Decide and captures its momentum averages.
+func decideWith(s *Scheduler, cur zoo.Pair, det detmodel.Detection, frame scene.Frame) decided {
+	d := decided{Decision: s.Decide(cur, det, frame)}
+	if d.Rescheduled {
+		d.Predicted = s.Predicted()
+	}
+	return d
+}
 
 // decideSeq runs the scheduler over frames, feeding each decision's pair back
 // as the next frame's current pair, and returns the decisions.
-func decideSeq(t *testing.T, s *Scheduler, frames []scene.Frame) []Decision {
+func decideSeq(t *testing.T, s *Scheduler, frames []scene.Frame) []decided {
 	t.Helper()
 	f := fx(t)
 	cur := pairFor(t, s, "YoloV7", accel.KindGPU)
-	out := make([]Decision, 0, len(frames))
+	out := make([]decided, 0, len(frames))
 	for _, frame := range frames {
 		det := detect(t, f, cur.Model, frame)
-		dec := s.Decide(cur, det, frame)
+		dec := decideWith(s, cur, det, frame)
 		out = append(out, dec)
 		cur = dec.Pair
 	}
@@ -52,7 +70,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 		f := fx(t)
 		for _, frame := range frames[k:] {
 			det := detect(t, f, cur.Model, frame)
-			dec := b.Decide(cur, det, frame)
+			dec := decideWith(b, cur, det, frame)
 			got = append(got, dec)
 			cur = dec.Pair
 		}
@@ -97,7 +115,7 @@ func TestSnapshotIsolatedFromSource(t *testing.T) {
 }
 
 // decisionsEqual compares all decision fields, including the momentum map.
-func decisionsEqual(a, b Decision) bool {
+func decisionsEqual(a, b decided) bool {
 	if a.Pair != b.Pair || a.Rescheduled != b.Rescheduled ||
 		a.Similarity != b.Similarity || a.Gate != b.Gate ||
 		a.MetThreshold != b.MetThreshold || len(a.Predicted) != len(b.Predicted) {

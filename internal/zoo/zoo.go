@@ -11,8 +11,11 @@
 package zoo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/detmodel"
@@ -73,6 +76,8 @@ type System struct {
 	Seed uint64
 
 	byName map[string]*Entry
+	// pairs is the runtime pair list, fixed by the platform and the zoo.
+	pairs []Pair
 }
 
 // NewSystem assembles a system from a platform and zoo entries.
@@ -81,6 +86,7 @@ func NewSystem(soc *accel.SoC, entries []*Entry, seed uint64) *System {
 	for _, e := range entries {
 		s.byName[e.Name()] = e
 	}
+	s.pairs = s.runtimePairs()
 	return s
 }
 
@@ -103,12 +109,65 @@ type Pair struct {
 // String returns "model@proc".
 func (p Pair) String() string { return p.Model + "@" + p.ProcID }
 
+// EngineKey returns the pair's engine identity: same-kind processors (dla0,
+// dla1) run the same engine.
+func (p Pair) EngineKey() EngineKey { return EngineKey{Model: p.Model, Kind: p.Kind} }
+
+// EngineKey is the residency identity of an engine: a model compiled for a
+// processor kind. It is comparable, so maps key on it without building
+// strings; String is for output, and Compare for any order callers observe.
+type EngineKey struct {
+	Model string
+	Kind  accel.Kind
+}
+
+// String returns "model/KIND".
+func (k EngineKey) String() string { return k.Model + "/" + k.Kind.String() }
+
+// Compare orders keys exactly as their String forms order, without building
+// them: "YoloV7-Tiny/GPU" sorts before "YoloV7/GPU" because '-' < '/', an
+// order a (Model, Kind) tuple comparison would not reproduce. Kinds without a
+// name share the String "?"; Kind breaks that tie, so distinct keys never
+// compare equal.
+func (k EngineKey) Compare(o EngineKey) int {
+	a := [3]string{k.Model, "/", k.Kind.String()}
+	b := [3]string{o.Model, "/", o.Kind.String()}
+	if c := compareJoined(a[:], b[:]); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Kind, o.Kind)
+}
+
+// compareJoined compares the concatenations of a and b lexicographically.
+func compareJoined(a, b []string) int {
+	for {
+		for len(a) > 0 && a[0] == "" {
+			a = a[1:]
+		}
+		for len(b) > 0 && b[0] == "" {
+			b = b[1:]
+		}
+		if len(a) == 0 || len(b) == 0 {
+			return len(a) - len(b)
+		}
+		n := min(len(a[0]), len(b[0]))
+		if c := strings.Compare(a[0][:n], b[0][:n]); c != 0 {
+			return c
+		}
+		a[0], b[0] = a[0][n:], b[0][n:]
+	}
+}
+
 // RuntimePairs enumerates every executable (model, processor) pair on the
 // runtime accelerators (GPU, DLA, OAK-D — the CPU hosts the scheduler, as in
-// the paper). Pairs are returned in deterministic order. With the default
-// platform's two DLAs collapsed to their shared kind, the distinct
-// (model, kind) combinations number 18, matching Table III.
-func (s *System) RuntimePairs() []Pair {
+// the paper). Pairs are returned in deterministic order, as a fresh copy the
+// caller may modify. With the default platform's two DLAs collapsed to their
+// shared kind, the distinct (model, kind) combinations number 18, matching
+// Table III.
+func (s *System) RuntimePairs() []Pair { return slices.Clone(s.pairs) }
+
+// runtimePairs computes the runtime pair list once, at construction.
+func (s *System) runtimePairs() []Pair {
 	var pairs []Pair
 	for _, e := range s.Entries {
 		for _, kind := range []accel.Kind{accel.KindGPU, accel.KindDLA, accel.KindOAKD} {
@@ -127,9 +186,9 @@ func (s *System) RuntimePairs() []Pair {
 // KindPairCount returns the number of distinct (model, kind) combinations
 // among runtime pairs — the paper's "18 combinations possible".
 func (s *System) KindPairCount() int {
-	seen := map[string]bool{}
-	for _, p := range s.RuntimePairs() {
-		seen[p.Model+"/"+p.Kind.String()] = true
+	seen := map[EngineKey]bool{}
+	for _, p := range s.pairs {
+		seen[p.EngineKey()] = true
 	}
 	return len(seen)
 }

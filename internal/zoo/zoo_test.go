@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -242,5 +243,47 @@ func TestLoadTimeScalesWithFootprint(t *testing.T) {
 					socLoads[i], socLoads[j])
 			}
 		}
+	}
+}
+
+func TestEngineKeyString(t *testing.T) {
+	p := Pair{Model: detmodel.YoloV7, ProcID: "dla1", Kind: accel.KindDLA}
+	if got := p.EngineKey().String(); got != "YoloV7/DLA" {
+		t.Fatalf("EngineKey.String = %q, want YoloV7/DLA", got)
+	}
+	if p.EngineKey() != (Pair{Model: detmodel.YoloV7, ProcID: "dla0", Kind: accel.KindDLA}).EngineKey() {
+		t.Fatal("same-kind processors must share one engine key")
+	}
+}
+
+// TestEngineKeyCompareMatchesString pins Compare to the order of the String
+// forms on every runtime pair plus names that are prefixes of one another
+// or contain the separator, where a (Model, Kind) tuple order differs.
+func TestEngineKeyCompareMatchesString(t *testing.T) {
+	var keys []EngineKey
+	for _, p := range Default(1).RuntimePairs() {
+		keys = append(keys, p.EngineKey())
+	}
+	for _, m := range []string{"", "A", "A/", "A/G", "A-", "A/GPU", "A/GPUx", "YoloV7/"} {
+		for _, k := range []accel.Kind{accel.KindCPU, accel.KindGPU, accel.KindDLA, accel.KindOAKD} {
+			keys = append(keys, EngineKey{Model: m, Kind: k})
+		}
+	}
+	sign := func(v int) int { return min(max(v, -1), 1) }
+	for _, a := range keys {
+		for _, b := range keys {
+			if got, want := sign(a.Compare(b)), strings.Compare(a.String(), b.String()); got != want {
+				t.Fatalf("Compare(%v, %v) = %d, String order says %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+func TestRuntimePairsReturnsACopy(t *testing.T) {
+	s := Default(1)
+	a := s.RuntimePairs()
+	a[0] = Pair{Model: "clobbered"}
+	if b := s.RuntimePairs(); b[0].Model == "clobbered" {
+		t.Fatal("RuntimePairs handed out its cached slice")
 	}
 }
