@@ -48,6 +48,7 @@ func env(b *testing.B) *experiments.Env {
 // and DLA).
 func BenchmarkTableI(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TableI(e, 300, 300)
 		if err != nil {
@@ -65,6 +66,7 @@ func BenchmarkTableI(b *testing.B) {
 // six-scenario evaluation suite.
 func BenchmarkTableIII(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TableIII(e, nil)
 		if err != nil {
@@ -84,6 +86,7 @@ func BenchmarkTableIII(b *testing.B) {
 // BenchmarkTableIV regenerates the full characterization table.
 func BenchmarkTableIV(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TableIV(e, 300)
 		if err != nil {
@@ -102,6 +105,7 @@ func BenchmarkTableIV(b *testing.B) {
 // vs the multi-model zoo.
 func BenchmarkFigure1(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure1(e); err != nil {
 			b.Fatal(err)
@@ -112,6 +116,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates the single-model efficiency timelines.
 func BenchmarkFigure2(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure2(e, nil); err != nil {
 			b.Fatal(err)
@@ -122,6 +127,7 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkFigure3 regenerates the scenario-1 SHIFT timeline.
 func BenchmarkFigure3(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Figure3(e)
 		if err != nil {
@@ -137,6 +143,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure4 regenerates the scenario-2 SHIFT timeline.
 func BenchmarkFigure4(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure4(e); err != nil {
 			b.Fatal(err)
@@ -150,6 +157,7 @@ func BenchmarkFigure5(b *testing.B) {
 	e := env(b)
 	cfg := experiments.QuickSweepConfig()
 	cfg.Scenarios = []*scene.Scenario{scene.Scenario2()}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Figure5(e, cfg)
 		if err != nil {
@@ -195,6 +203,7 @@ func BenchmarkAblationGraphDepth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		full, _ := runSHIFTWith(b, e, nil, nil)
 		noDepth, _ := runSHIFTWith(b, e, nil, flat)
@@ -210,6 +219,7 @@ func BenchmarkAblationGraphDepth(b *testing.B) {
 // the delta in swaps and time.
 func BenchmarkAblationNoNCC(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gated, _ := runSHIFTWith(b, e, nil, nil)
 		ungated, _ := runSHIFTWith(b, e, func(o *pipeline.Options) { o.Sched.DisableGate = true }, nil)
@@ -227,6 +237,7 @@ func BenchmarkAblationNoNCC(b *testing.B) {
 func BenchmarkAblationEviction(b *testing.B) {
 	e := env(b)
 	policies := []loader.EvictionPolicy{loader.EvictLRR, loader.EvictFIFO, loader.EvictLargest}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range policies {
 			policy := p
@@ -260,6 +271,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 // BenchmarkAblationMomentum varies the prediction-averaging window.
 func BenchmarkAblationMomentum(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range []int{1, 30, 120} {
 			mom := m
@@ -275,6 +287,7 @@ func BenchmarkAblationMomentum(b *testing.B) {
 // (the quantified form of the paper's "no tracking, no skipping" claim).
 func BenchmarkSkipComparison(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.SkipComparison(e, []*scene.Scenario{scene.Scenario2()}, nil)
 		if err != nil {
@@ -295,6 +308,7 @@ func BenchmarkAblationOracleLoads(b *testing.B) {
 	e := env(b)
 	sc := scene.Scenario2()
 	frames := e.Frames(sc)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		free, err := baseline.NewOracle(e.System(), baseline.OracleAccuracy)
 		if err != nil {
@@ -342,6 +356,7 @@ func BenchmarkGraphQuality(b *testing.B) {
 func BenchmarkMultiStream(b *testing.B) {
 	e := env(b)
 	cfg := experiments.DefaultMultiStreamConfig()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.MultiStream(e, cfg)
 		if err != nil {
@@ -363,6 +378,7 @@ func BenchmarkMultiStream(b *testing.B) {
 // traffic at the largest fleet.
 func BenchmarkFleetSweep(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FleetSweep(e, experiments.FleetSweepConfig{})
 		if err != nil {
@@ -383,6 +399,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 // failure rate.
 func BenchmarkFaultSweep(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FaultSweep(e, experiments.FaultSweepConfig{})
 		if err != nil {
@@ -404,6 +421,7 @@ func BenchmarkFaultSweep(b *testing.B) {
 // bytes, best-effort streams shed, and journal traffic.
 func BenchmarkCrashSweep(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.CrashSweep(e, experiments.CrashSweepConfig{})
 		if err != nil {
@@ -426,6 +444,7 @@ func BenchmarkCrashSweep(b *testing.B) {
 // and the diurnal drain activity.
 func BenchmarkAutoscaleSweep(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.AutoscaleSweep(e, experiments.AutoscaleSweepConfig{})
 		if err != nil {
@@ -443,33 +462,26 @@ func BenchmarkAutoscaleSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleSweep runs a reduced fleet-scale grid — a 100-device fleet
-// serving 5 000 streams over a compressed diurnal hour on the legacy scan,
-// the indexed heap, and a 4-region shard — and logs the event-loop headline:
-// events/sec per selector and the heap's wall-clock speedup. The full
-// 1 000-device / 100 000-stream flagship runs in cmd/bench.
+// BenchmarkScaleSweep runs one reduced fleet-scale cell — a 100-device
+// fleet serving 5 000 streams over a compressed diurnal half hour — and logs
+// the event-loop headline: events/sec. The full 1 000-device / 100 000-stream
+// flagship runs in cmd/bench.
 func BenchmarkScaleSweep(b *testing.B) {
 	e := env(b)
 	cfg := experiments.ScaleSweepConfig{
-		Cells: []experiments.ScaleSweepCell{
-			{Devices: 100, Streams: 5000, LegacyScan: true},
-			{Devices: 100, Streams: 5000},
-			{Devices: 100, Streams: 5000, Regions: 4},
-		},
+		Cells:   []experiments.ScaleSweepCell{{Devices: 100, Streams: 5000}},
 		SpanSec: 1800,
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.ScaleSweep(e, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			scan, _ := res.Row(100, 1, true)
-			heap, _ := res.Row(100, 1, false)
-			sharded, _ := res.Row(100, 4, false)
-			b.Logf("scale @100 devices: scan %.0f ev/s | heap %.0f ev/s (%.2fx) | 4-region %.0f ev/s, %d events, served %d/%d",
-				scan.EventsPerSec, heap.EventsPerSec, heap.EventsPerSec/scan.EventsPerSec,
-				sharded.EventsPerSec, heap.Events, heap.Served, heap.Served+heap.Rejected)
+			row := res.Rows[0]
+			b.Logf("scale @100 devices: %.0f ev/s, %d events, served %d/%d",
+				row.EventsPerSec, row.Events, row.Served, row.Served+row.Rejected)
 		}
 	}
 }
@@ -480,6 +492,7 @@ func BenchmarkScaleSweep(b *testing.B) {
 // swap-stall share of the p99 tail.
 func BenchmarkPrefetchSweep(b *testing.B) {
 	e := env(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.PrefetchSweep(e, experiments.PrefetchSweepConfig{})
 		if err != nil {
@@ -498,10 +511,17 @@ func BenchmarkPrefetchSweep(b *testing.B) {
 // BenchmarkRecorderOverhead measures the flight recorder's cost on the
 // standard obs fleet cell: the detached run carries only nil checks on the
 // hot paths, so attached-vs-detached wall clock is the whole observability
-// tax. The first attached iteration logs the headline attribution.
+// tax. An untimed warm-up run renders the cell's frames first, so the
+// detached half does not time the frame cache. The first attached
+// iteration logs the headline attribution.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	e := env(b)
 	cfg := experiments.DefaultObsSweepConfig()
+	// One untimed run warms the frame cache, so neither half times it.
+	if _, err := experiments.ObsCell(e, cfg, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	b.Run("detached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.ObsCell(e, cfg, nil); err != nil {

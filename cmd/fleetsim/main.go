@@ -30,7 +30,6 @@
 //
 //	fleetsim -devices 4 -placement residency-affinity
 //	fleetsim -devices 2 -streams 24 -rate 0.5 -budget 2
-//	fleetsim -devices 8 -regions 4
 //	fleetsim -devices 4 -faults 6
 //	fleetsim -autoscale
 //	fleetsim -prefetch
@@ -58,7 +57,6 @@ func main() {
 		rate       = flag.Float64("rate", 0.25, "mean stream arrival rate per second")
 		period     = flag.Float64("period", 0.1, "camera frame period in seconds")
 		budget     = flag.Int("budget", 3, "admission budget: max concurrent streams per device (0 = unlimited)")
-		regions    = flag.Int("regions", 0, "shard the event loop across N parallel device regions (0/1 = single region; results are bit-identical at any count)")
 		queue      = flag.Int("queue", 8, "admission queue slots when saturated (0 = reject immediately, -1 = unbounded)")
 		poolMB     = flag.Int64("pool-mb", 1300, "per-device engine memory arena in MB")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
@@ -102,7 +100,7 @@ func main() {
 	}
 
 	if err := run(*devices, *scales, *placement, *streams, *rate, *period,
-		*budget, *queue, *regions, *poolMB, *seed, *valFrames, *sweep, *faults, *autoscale, *prefetch, *trace, set); err != nil {
+		*budget, *queue, *poolMB, *seed, *valFrames, *sweep, *faults, *autoscale, *prefetch, *trace, set); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
@@ -126,7 +124,7 @@ func validateWorkersMode(sweep, autoscale bool, faults float64, trace string, pr
 // non-zero exit, instead of a panic (or a multi-second characterization)
 // deep in the run.
 func validate(devices int, placement string, streams int, rate, period float64,
-	budget, queue, regions int, poolMB int64, valFrames int, faults float64) error {
+	budget, queue int, poolMB int64, valFrames int, faults float64) error {
 	if _, err := fleet.PlacementByName(placement); err != nil {
 		return err
 	}
@@ -148,9 +146,6 @@ func validate(devices int, placement string, streams int, rate, period float64,
 	if queue < -1 {
 		return fmt.Errorf("-queue must be >= -1 (-1 = unbounded), got %d", queue)
 	}
-	if regions < 0 {
-		return fmt.Errorf("-regions must be >= 0 (0 = single region), got %d", regions)
-	}
 	if poolMB <= 0 {
 		return fmt.Errorf("-pool-mb must be positive, got %d", poolMB)
 	}
@@ -168,9 +163,9 @@ func validate(devices int, placement string, streams int, rate, period float64,
 // a flag was actually given — and flags a mode genuinely cannot honor are
 // rejected instead of silently ignored.
 func run(devices int, scales, placement string, streams int, rate, period float64,
-	budget, queue, regions int, poolMB int64, seed uint64, valFrames int, sweep bool, faults float64,
+	budget, queue int, poolMB int64, seed uint64, valFrames int, sweep bool, faults float64,
 	autoscale, prefetch bool, trace string, set map[string]bool) error {
-	if err := validate(devices, placement, streams, rate, period, budget, queue, regions, poolMB, valFrames, faults); err != nil {
+	if err := validate(devices, placement, streams, rate, period, budget, queue, poolMB, valFrames, faults); err != nil {
 		return err
 	}
 	if autoscale && faults > 0 {
@@ -184,9 +179,6 @@ func run(devices int, scales, placement string, streams int, rate, period float6
 	}
 	if prefetch && trace != "" {
 		return fmt.Errorf("-trace is mutually exclusive with -prefetch (the contrast cell attaches its own recorders; see experiments.PrefetchSweep)")
-	}
-	if set["regions"] && (autoscale || faults > 0) {
-		return fmt.Errorf("-regions applies to the serving sweep only, not -autoscale or -faults")
 	}
 	if trace != "" && (sweep || autoscale || faults > 0) {
 		return fmt.Errorf("-trace applies to the single serving run only; it is mutually exclusive with -sweep, -autoscale and -faults")
@@ -270,9 +262,6 @@ func run(devices int, scales, placement string, streams int, rate, period float6
 		if set["pool-mb"] {
 			cfg.Cell.PoolMB = poolMB
 		}
-		if set["regions"] {
-			cfg.Cell.Regions = regions
-		}
 		if set["budget"] || set["queue"] {
 			cfg.Cell.Admission = &admission
 		}
@@ -315,7 +304,6 @@ func run(devices int, scales, placement string, streams int, rate, period float6
 			Workload:  workload,
 			Admission: &admission,
 			PoolMB:    poolMB,
-			Regions:   regions,
 		}
 		res, err := experiments.ObsSweep(env, ocfg)
 		if err != nil {
@@ -343,7 +331,6 @@ func run(devices int, scales, placement string, streams int, rate, period float6
 		Admission: &admission,
 		PoolMB:    poolMB,
 		Scales:    scaleList,
-		Regions:   regions,
 	}
 	if !sweep {
 		cfg.DeviceCounts = []int{devices}

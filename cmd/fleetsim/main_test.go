@@ -10,7 +10,7 @@ import (
 // one-line error before any characterization work, never a panic mid-run.
 func TestValidateRejectsBadFlags(t *testing.T) {
 	ok := func() error {
-		return validate(2, "residency-affinity", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0)
+		return validate(2, "residency-affinity", 16, 0.25, 0.1, 3, 8, 1300, 800, 0)
 	}
 	if err := ok(); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
@@ -20,17 +20,16 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		err  error
 		want string
 	}{
-		{"unknown placement", validate(2, "bogus", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "unknown placement"},
-		{"zero devices", validate(0, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-devices"},
-		{"negative streams", validate(2, "round-robin", -1, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-streams"},
-		{"negative rate", validate(2, "round-robin", 16, -0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-rate"},
-		{"zero period", validate(2, "round-robin", 16, 0.25, 0, 3, 8, 0, 1300, 800, 0), "-period"},
-		{"negative budget", validate(2, "round-robin", 16, 0.25, 0.1, -3, 8, 0, 1300, 800, 0), "-budget"},
-		{"bad queue", validate(2, "round-robin", 16, 0.25, 0.1, 3, -2, 0, 1300, 800, 0), "-queue"},
-		{"negative regions", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, -1, 1300, 800, 0), "-regions"},
-		{"negative pool", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, -1, 800, 0), "-pool-mb"},
-		{"zero val-frames", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 0, 0), "-val-frames"},
-		{"negative faults", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, -6), "-faults"},
+		{"unknown placement", validate(2, "bogus", 16, 0.25, 0.1, 3, 8, 1300, 800, 0), "unknown placement"},
+		{"zero devices", validate(0, "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 800, 0), "-devices"},
+		{"negative streams", validate(2, "round-robin", -1, 0.25, 0.1, 3, 8, 1300, 800, 0), "-streams"},
+		{"negative rate", validate(2, "round-robin", 16, -0.25, 0.1, 3, 8, 1300, 800, 0), "-rate"},
+		{"zero period", validate(2, "round-robin", 16, 0.25, 0, 3, 8, 1300, 800, 0), "-period"},
+		{"negative budget", validate(2, "round-robin", 16, 0.25, 0.1, -3, 8, 1300, 800, 0), "-budget"},
+		{"bad queue", validate(2, "round-robin", 16, 0.25, 0.1, 3, -2, 1300, 800, 0), "-queue"},
+		{"negative pool", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, -1, 800, 0), "-pool-mb"},
+		{"zero val-frames", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 0, 0), "-val-frames"},
+		{"negative faults", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 800, -6), "-faults"},
 	}
 	for _, c := range cases {
 		if c.err == nil {
@@ -47,34 +46,23 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	// run() must refuse bad flags before characterizing: a bogus placement
 	// returns (quickly) with the validation error, not a deep failure.
 	none := map[string]bool{}
-	if err := run(2, "1", "bogus", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
+	if err := run(2, "1", "bogus", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
 		t.Fatal("run accepted an unknown placement")
 	} else if !strings.Contains(err.Error(), "unknown placement") {
 		t.Fatalf("run surfaced the wrong error: %v", err)
 	}
 	// Malformed -scales fail in the same pre-characterization pass.
-	if err := run(2, "1,-2", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
+	if err := run(2, "1,-2", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
 		t.Fatal("run accepted a negative scale")
 	}
 	// Mode combinations a run cannot honor are rejected, not ignored.
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 6, true, false, "", none); err == nil ||
+	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, false, 6, true, false, "", none); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-autoscale -faults accepted: %v", err)
 	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, true, 0, true, false, "", none); err == nil ||
+	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, true, 0, true, false, "", none); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-autoscale -sweep accepted: %v", err)
-	}
-	// -regions steers the serving sweep's event loop only; modes that run a
-	// different grid reject it rather than silently ignore it.
-	withRegions := map[string]bool{"regions": true}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 2, 1300, 1, 800, false, 6, false, false, "", withRegions); err == nil ||
-		!strings.Contains(err.Error(), "-regions") {
-		t.Fatalf("-regions -faults accepted: %v", err)
-	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 2, 1300, 1, 800, false, 0, true, false, "", withRegions); err == nil ||
-		!strings.Contains(err.Error(), "-regions") {
-		t.Fatalf("-regions -autoscale accepted: %v", err)
 	}
 	// -trace exports the single serving run's flight recording; grid modes
 	// have no single run to trace, and both rejections are one-line errors.
@@ -87,7 +75,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"autoscale", false, true, 0},
 		{"faults", false, false, 6},
 	} {
-		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, c.sweep, c.faults, c.autoscale, false, "out.json", none)
+		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, c.sweep, c.faults, c.autoscale, false, "out.json", none)
 		if err == nil || !strings.Contains(err.Error(), "-trace") {
 			t.Fatalf("-trace -%s accepted: %v", c.name, err)
 		}
@@ -121,7 +109,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		{"autoscale", false, true, 0},
 		{"faults", false, false, 6},
 	} {
-		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, c.sweep, c.faults, c.autoscale, true, "", none)
+		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, c.sweep, c.faults, c.autoscale, true, "", none)
 		if err == nil || !strings.Contains(err.Error(), "-prefetch") {
 			t.Fatalf("-prefetch -%s accepted: %v", c.name, err)
 		}
@@ -129,7 +117,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 			t.Fatalf("-prefetch -%s: multi-line error %q", c.name, err)
 		}
 	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, true, "out.json", none); err == nil ||
+	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 1300, 1, 800, false, 0, false, true, "out.json", none); err == nil ||
 		!strings.Contains(err.Error(), "-prefetch") || !strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("-trace -prefetch accepted: %v", err)
 	}

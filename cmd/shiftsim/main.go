@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/sched"
 	"repro/internal/textplot"
@@ -141,7 +142,7 @@ func run(all bool, method, model, proc, scenarioName, file string, seed uint64, 
 // buildRunner constructs a fresh runner per scenario so clock, memory and
 // meters start clean.
 func buildRunner(env *experiments.Env, method, model, proc string,
-	knobs sched.Knobs, goalAcc float64, momentum int, maxLat, maxEnergy float64) (pipeline.Runner, error) {
+	knobs sched.Knobs, goalAcc float64, momentum int, maxLat, maxEnergy float64) (runtime.Runner, error) {
 	sys := env.System()
 	switch method {
 	case "SHIFT":

@@ -32,14 +32,15 @@
 //     ones via drain-based scale-in; one global deterministic event loop
 //     interleaves arrivals, frame steps, departures, fault edges and
 //     scale ticks across devices, selecting each next event from an
-//     indexed min-heap keyed (time, kind, device, seq) — and, with
-//     fleet.Config.Regions > 1, advancing device shards in parallel
-//     between globally-ordered barrier events, bit-identical at every
-//     region count. With fleet.DurabilityConfig set, every
-//     session is journaled through the checkpoint wire format and a
-//     fourth fault kind — crash — kills a device's worker process and
-//     recovers its streams from journal bytes (best-effort streams shed
-//     first when survivors lack slack).
+//     indexed min-heap keyed (time, kind, device, seq); the pre-heap
+//     rescan survives only as a test oracle checked before every
+//     selection (parallel region sharding and the rescan config knob
+//     were retired after measuring 1.04× at R=2 on 2 cores; their
+//     historical numbers stay in EXPERIMENTS.md). With
+//     fleet.DurabilityConfig set, every session is journaled through the
+//     checkpoint wire format and a fourth fault kind — crash — kills a
+//     device's worker process and recovers its streams from journal bytes
+//     (best-effort streams shed first when survivors lack slack).
 //   - internal/obs: the fleet flight recorder — a pure-stdlib virtual-clock
 //     tracer recording typed spans for every lifecycle event (arrival,
 //     queue wait, engine load vs. residency hit, per-processor exec,
@@ -48,7 +49,7 @@
 //     per-frame latency attribution (queue + swap + exec + interference
 //     sum bit-exactly to end-to-end), Chrome trace-event JSON export and
 //     text timelines; strictly observational — attaching it never
-//     perturbs a run, at any region count.
+//     perturbs a run.
 //   - internal/predict: TAGE-style swap prediction — a bimodal base table
 //     plus tagged geometric-history tables over the stream's (model, kind)
 //     swap sequence, trained online from the step loop's swap events.

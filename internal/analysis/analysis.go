@@ -2,9 +2,9 @@
 // simulator's bit-identity invariants at build time.
 //
 // Every PR since the seed has defended one property — simulated decisions are
-// bit-identical across seeds, region counts, device shuffles and
-// crash/recover cycles — but until now the enforcement was entirely dynamic
-// (fuzz corpora, equivalence oracles, stale-cache panic flags). A single
+// bit-identical across reruns, device shuffles and crash/recover cycles —
+// but until now the enforcement was entirely dynamic (fuzz corpora,
+// equivalence oracles, stale-cache panic flags). A single
 // stray time.Now, global math/rand draw, unsorted map iteration feeding an
 // encoder, or raw go statement can silently break determinism until a fuzzer
 // happens to catch it. The analyzers here move those invariants into the
@@ -23,7 +23,7 @@
 //     the pattern behind shuffle-invariance bugs.
 //   - goroutine: no raw go statements or sync.WaitGroup fan-out outside
 //     internal/par and internal/distrib — parallelism flows through the
-//     pool so region-sharding replay order stays deterministic.
+//     pool so fan-out results stay identical to sequential ones.
 //   - forkshare: no rng.Stream captured by a closure passed to a par
 //     fan-out without deriving a per-task stream via Fork/Clone first.
 //

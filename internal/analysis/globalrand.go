@@ -6,8 +6,8 @@ import "strconv"
 // internal/rng. The global generators (and even locally constructed
 // rand.New sources) sit outside the experiment's seed tree: a draw from
 // them is invisible to the fork-label discipline that makes every stream's
-// consumption auditable, and the v1 global is additionally racy under the
-// region-sharded loop. All randomness must come from a seeded rng.Stream
+// consumption auditable, and the v1 global is additionally racy under
+// parallel fan-out. All randomness must come from a seeded rng.Stream
 // fork (rng.New / Stream.Fork), so the one package allowed to touch the
 // standard generators — internal/rng, if it ever wraps them — is exempt by
 // import-path suffix.

@@ -10,8 +10,7 @@ import (
 // discipline is plan-then-fan-out through the par pool: a sequential
 // planning pass fixes all stateful inputs, then pure computations write to
 // disjoint pre-sized slots, which is what keeps parallel runs bitwise
-// identical to sequential ones and region-sharded replay order
-// deterministic. An ad-hoc goroutine bypasses that discipline; internal/par
+// identical to sequential ones. An ad-hoc goroutine bypasses that discipline; internal/par
 // owns the only worker loops, and internal/distrib legitimately pumps real
 // OS pipes to worker processes.
 var GoroutineAnalyzer = &Analyzer{

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/detmodel"
 	"repro/internal/loader"
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/track"
@@ -62,11 +61,11 @@ func NewSingleModel(sys *zoo.System, model, procID string) (*SingleModel, error)
 	return &SingleModel{pair: pair, eng: newEngine(sys, &singleModelPolicy{pair: pair})}, nil
 }
 
-// Name implements pipeline.Runner.
+// Name implements runtime.Runner.
 func (s *SingleModel) Name() string { return s.pair.Model + "@" + s.pair.ProcID }
 
-// Run implements pipeline.Runner.
-func (s *SingleModel) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
+// Run implements runtime.Runner.
+func (s *SingleModel) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
 	return s.eng.Run(scenario, frames)
 }
 
@@ -147,11 +146,11 @@ func NewMarlin(sys *zoo.System, cfg MarlinConfig) (*Marlin, error) {
 	return &Marlin{pol: pol, eng: newEngine(sys, pol)}, nil
 }
 
-// Name implements pipeline.Runner.
+// Name implements runtime.Runner.
 func (m *Marlin) Name() string { return m.pol.Name() }
 
-// Run implements pipeline.Runner.
-func (m *Marlin) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
+// Run implements runtime.Runner.
+func (m *Marlin) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
 	return m.eng.Run(scenario, frames)
 }
 

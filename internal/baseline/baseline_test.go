@@ -6,6 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -20,7 +21,7 @@ func testFrames(t *testing.T) []scene.Frame {
 	return cachedFrames
 }
 
-func mean(res *pipeline.Result, f func(pipeline.FrameRecord) float64) float64 {
+func mean(res *runtime.Result, f func(runtime.FrameRecord) float64) float64 {
 	if len(res.Records) == 0 {
 		return 0
 	}
@@ -31,9 +32,9 @@ func mean(res *pipeline.Result, f func(pipeline.FrameRecord) float64) float64 {
 	return sum / float64(len(res.Records))
 }
 
-func iouOf(r pipeline.FrameRecord) float64    { return r.IoU }
-func latOf(r pipeline.FrameRecord) float64    { return r.LatSec }
-func energyOf(r pipeline.FrameRecord) float64 { return r.EnergyJ }
+func iouOf(r runtime.FrameRecord) float64    { return r.IoU }
+func latOf(r runtime.FrameRecord) float64    { return r.LatSec }
+func energyOf(r runtime.FrameRecord) float64 { return r.EnergyJ }
 
 // The shared loop invariants (record-per-frame, swap flags, cost sanity,
 // determinism, per-method load cadences) live in TestRunnerConformance;
@@ -72,7 +73,7 @@ func TestSingleModelLatencyMatchesTableIV(t *testing.T) {
 	}
 	// Skip the load frame; steady-state latency must track the 0.130 s
 	// anchor.
-	steady := &pipeline.Result{Records: res.Records[1:]}
+	steady := &runtime.Result{Records: res.Records[1:]}
 	if lat := mean(steady, latOf); lat < 0.120 || lat > 0.145 {
 		t.Fatalf("YoloV7@gpu steady latency %.4f, want ~0.130", lat)
 	}
@@ -171,7 +172,7 @@ func TestOracleNames(t *testing.T) {
 	}
 }
 
-func runOracle(t *testing.T, metric OracleMetric) *pipeline.Result {
+func runOracle(t *testing.T, metric OracleMetric) *runtime.Result {
 	t.Helper()
 	sys := zoo.Default(1)
 	o, err := NewOracle(sys, metric)
@@ -219,7 +220,7 @@ func TestOracleSuccessRateCeiling(t *testing.T) {
 	// All oracles share the same qualification rule, so their success
 	// rates are identical and form the evaluation's ceiling (Table III: all
 	// three at 76%).
-	rate := func(res *pipeline.Result) float64 {
+	rate := func(res *runtime.Result) float64 {
 		n := 0
 		for _, r := range res.Records {
 			if r.IoU >= 0.5 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -15,10 +16,10 @@ import (
 // loader and policy state), so every row of the table is independent.
 type conformanceCase struct {
 	name  string
-	build func(t *testing.T) pipeline.Runner
+	build func(t *testing.T) runtime.Runner
 	// extra holds method-specific invariants beyond the shared loop
 	// contract.
-	extra func(t *testing.T, res *pipeline.Result)
+	extra func(t *testing.T, res *runtime.Result)
 }
 
 // conformanceCases covers all five policies of the serving engine: SHIFT and
@@ -35,14 +36,14 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	return []conformanceCase{
 		{
 			name: "SingleModel",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := NewSingleModel(zoo.Default(1), detmodel.YoloV7, "gpu")
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			},
-			extra: func(t *testing.T, res *pipeline.Result) {
+			extra: func(t *testing.T, res *runtime.Result) {
 				if pipeline.PairsUsed(res) != 1 {
 					t.Error("single model used more than one pair")
 				}
@@ -55,14 +56,14 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "Marlin",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := NewMarlin(zoo.Default(1), DefaultMarlinConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			},
-			extra: func(t *testing.T, res *pipeline.Result) {
+			extra: func(t *testing.T, res *runtime.Result) {
 				if pipeline.SwapCount(res) != 0 {
 					t.Error("Marlin swapped despite its fixed DNN pair")
 				}
@@ -70,14 +71,14 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "FrameSkip",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := NewFrameSkip(zoo.Default(1), detmodel.YoloV7, "gpu", 4)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			},
-			extra: func(t *testing.T, res *pipeline.Result) {
+			extra: func(t *testing.T, res *runtime.Result) {
 				for i, rec := range res.Records {
 					paidCompute := rec.LatSec > 0
 					if paidCompute != (i%4 == 0) {
@@ -88,14 +89,14 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "Oracle",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := NewOracle(zoo.Default(1), OracleAccuracy)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			},
-			extra: func(t *testing.T, res *pipeline.Result) {
+			extra: func(t *testing.T, res *runtime.Result) {
 				for i, rec := range res.Records {
 					if rec.LoadedModel {
 						t.Fatalf("free-switching oracle charged a load at frame %d", i)
@@ -105,7 +106,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "OracleWithLoads",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := NewOracleWithLoads(zoo.Default(1), OracleEnergy)
 				if err != nil {
 					t.Fatal(err)
@@ -115,14 +116,14 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "SHIFT",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) runtime.Runner {
 				r, err := pipeline.NewSHIFT(zoo.Default(1), ch, graph, pipeline.DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
 				return r
 			},
-			extra: func(t *testing.T, res *pipeline.Result) {
+			extra: func(t *testing.T, res *runtime.Result) {
 				if pipeline.PairsUsed(res) < 2 {
 					t.Error("SHIFT never moved off its initial pair on a context-changing scenario")
 				}

@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
@@ -36,11 +35,11 @@ func NewFrameSkip(sys *zoo.System, model, procID string, skip int) (*FrameSkip, 
 	return &FrameSkip{pol: pol, eng: newEngine(sys, pol)}, nil
 }
 
-// Name implements pipeline.Runner.
+// Name implements runtime.Runner.
 func (f *FrameSkip) Name() string { return f.pol.Name() }
 
-// Run implements pipeline.Runner.
-func (f *FrameSkip) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
+// Run implements runtime.Runner.
+func (f *FrameSkip) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
 	return f.eng.Run(scenario, frames)
 }
 

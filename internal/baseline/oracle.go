@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
@@ -84,11 +83,11 @@ func NewOracle(sys *zoo.System, metric OracleMetric) (*Oracle, error) {
 	return &Oracle{pol: pol, eng: newEngine(sys, pol)}, nil
 }
 
-// Name implements pipeline.Runner.
+// Name implements runtime.Runner.
 func (o *Oracle) Name() string { return o.pol.Name() }
 
-// Run implements pipeline.Runner.
-func (o *Oracle) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
+// Run implements runtime.Runner.
+func (o *Oracle) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
 	return o.eng.Run(scenario, frames)
 }
 

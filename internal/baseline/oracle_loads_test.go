@@ -3,11 +3,11 @@ package baseline
 import (
 	"testing"
 
-	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/zoo"
 )
 
-func runLoadAwareOracle(t *testing.T, metric OracleMetric) *pipeline.Result {
+func runLoadAwareOracle(t *testing.T, metric OracleMetric) *runtime.Result {
 	t.Helper()
 	sys := zoo.Default(1)
 	o, err := NewOracleWithLoads(sys, metric)

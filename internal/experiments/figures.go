@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/textplot"
 )
@@ -133,7 +134,7 @@ func (r *Figure2Result) Report() string {
 // IoU, the active pair, and the frames where SHIFT swapped.
 type TimelineResult struct {
 	Scenario   string
-	Result     *pipeline.Result
+	Result     *runtime.Result
 	SwapFrames []int
 	// PairSpans lists (start frame, pair) runs for the report.
 	PairSpans []PairSpan

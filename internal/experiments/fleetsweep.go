@@ -44,10 +44,6 @@ type FleetSweepConfig struct {
 	// residency-affinity placement can exploit. Default 1/3; negative
 	// disables the premium tier.
 	PremiumFraction float64
-	// Regions shards each cell's event loop across parallel device regions
-	// (0/1: single region). Purely a wall-clock knob: results are
-	// bit-identical at every region count.
-	Regions int
 }
 
 // DefaultFleetSweepConfig returns the standard grid.
@@ -159,7 +155,6 @@ func FleetSweep(env *Env, cfg FleetSweepConfig) (*FleetSweepResult, error) {
 				Placement: place,
 				Admission: *cfg.Admission,
 				NewSystem: newSystem,
-				Regions:   cfg.Regions,
 			})
 			if err != nil {
 				return nil, err

@@ -39,9 +39,6 @@ type ObsSweepConfig struct {
 	// PremiumFraction is the seeded premium-tier fraction (default 1/3,
 	// negative disables), identical to FleetSweep's tiering.
 	PremiumFraction float64
-	// Regions shards the event loop (0/1: single region). The recorded span
-	// stream is bit-identical at every count.
-	Regions int
 }
 
 // DefaultObsSweepConfig returns the standard recorder cell.
@@ -169,7 +166,6 @@ func obsCell(env *Env, cfg ObsSweepConfig, rec *obs.Recorder, pf *predict.Config
 		Placement: place,
 		Admission: *cfg.Admission,
 		NewSystem: newSystem,
-		Regions:   cfg.Regions,
 		Recorder:  rec,
 		Prefetch:  pf,
 	})

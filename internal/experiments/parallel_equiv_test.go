@@ -9,6 +9,7 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 )
 
@@ -18,10 +19,10 @@ func tableIIISequential(env *Env, scenarios []*scene.Scenario) (*TableIIIResult,
 	if scenarios == nil {
 		scenarios = scene.EvaluationSuite()
 	}
-	res := &TableIIIResult{PerScenario: map[string]map[string]*pipeline.Result{}}
+	res := &TableIIIResult{PerScenario: map[string]map[string]*runtime.Result{}}
 	for _, mf := range tableIIIMethods() {
 		var perScenario []metrics.Summary
-		res.PerScenario[mf.name] = map[string]*pipeline.Result{}
+		res.PerScenario[mf.name] = map[string]*runtime.Result{}
 		for _, sc := range scenarios {
 			runner, err := mf.build(env)
 			if err != nil {

@@ -14,21 +14,15 @@ import (
 
 // ScaleSweep measures the simulator itself: how fast the fleet event loop
 // advances virtual time at production scale. Each cell serves a day-long
-// diurnal trace on an N-device fleet and reports wall-clock events/second,
-// comparing the legacy O(devices × sessions) rescan against the indexed
-// event heap, and single-region against sharded-region runs — all
-// bit-identical in simulated outcomes, differing only in wall clock. The
-// flagship cell is the ROADMAP's 1 000-device / 100 000-stream fleet.
+// diurnal trace on an N-device fleet and reports its simulated serving
+// profile next to the event loop's wall-clock events/second. The flagship
+// cell is the ROADMAP's 1 000-device / 100 000-stream fleet.
 
 // ScaleSweepCell is one fleet-scale configuration.
 type ScaleSweepCell struct {
 	// Devices and Streams size the fleet and the offered trace.
 	Devices int
 	Streams int
-	// Regions shards the event loop (0/1: single region); LegacyScan pins
-	// the pre-heap rescan selector as the baseline.
-	Regions    int
-	LegacyScan bool
 	// SpanSec overrides the config's trace span for this cell (0: default).
 	// The small reference cells compress the day into an hour so the fleet
 	// saturates and the per-event selection cost dominates.
@@ -38,8 +32,7 @@ type ScaleSweepCell struct {
 // ScaleSweepConfig parameterizes the scale sweep.
 type ScaleSweepConfig struct {
 	// Cells lists the fleet scales measured (default: a saturated
-	// 100-device pair — legacy scan vs heap — plus the 1 000-device /
-	// 100 000-stream flagship at 1 and 8 regions).
+	// 100-device cell plus the 1 000-device / 100 000-stream flagship).
 	Cells []ScaleSweepCell
 	// SpanSec is the trace length in seconds (default 86 400 — one day).
 	SpanSec float64
@@ -65,10 +58,8 @@ func DefaultScaleSweepConfig() ScaleSweepConfig {
 	adm := fleet.Admission{PerDeviceStreams: 3, QueueLimit: -1}
 	return ScaleSweepConfig{
 		Cells: []ScaleSweepCell{
-			{Devices: 100, Streams: 10_000, SpanSec: 3600, LegacyScan: true},
 			{Devices: 100, Streams: 10_000, SpanSec: 3600},
 			{Devices: 1000, Streams: 100_000},
-			{Devices: 1000, Streams: 100_000, Regions: 8},
 		},
 		SpanSec:    86_400,
 		DiurnalAmp: 0.85,
@@ -81,15 +72,12 @@ func DefaultScaleSweepConfig() ScaleSweepConfig {
 
 // ScaleSweepRow is one measured cell. The simulated columns (Served,
 // Frames, Events, Horizon, latency profile) are deterministic per seed and
-// identical across selector variants of the same (Devices, Streams, Span);
-// WallSec and EventsPerSec are wall-clock measurements and drift run to
-// run.
+// (Devices, Streams, Span); WallSec and EventsPerSec are wall-clock
+// measurements and drift run to run.
 type ScaleSweepRow struct {
-	Devices    int
-	Streams    int
-	Regions    int
-	LegacyScan bool
-	SpanSec    float64
+	Devices int
+	Streams int
+	SpanSec float64
 
 	Served   int
 	Rejected int
@@ -112,10 +100,10 @@ type ScaleSweepResult struct {
 	Rows []ScaleSweepRow
 }
 
-// Row returns the first cell matching the shape.
-func (r *ScaleSweepResult) Row(devices, regions int, legacy bool) (ScaleSweepRow, bool) {
+// Row returns the first cell with the given device count.
+func (r *ScaleSweepResult) Row(devices int) (ScaleSweepRow, bool) {
 	for _, row := range r.Rows {
-		if row.Devices == devices && row.Regions == regions && row.LegacyScan == legacy {
+		if row.Devices == devices {
 			return row, true
 		}
 	}
@@ -124,8 +112,8 @@ func (r *ScaleSweepResult) Row(devices, regions int, legacy bool) (ScaleSweepRow
 
 // monitorPolicy is the deliberately lightweight per-frame policy the scale
 // sweep serves: one fixed (model, processor) engine pair, execute, detect.
-// The sweep measures the simulator's event loop — selection, heap and
-// region bookkeeping, placement, admission — so per-frame decision cost
+// The sweep measures the simulator's event loop — selection, heap
+// bookkeeping, placement, admission — so per-frame decision cost
 // must stay negligible next to it; the SHIFT pipeline policy would dominate
 // the profile and mask the loop win the sweep exists to show.
 type monitorPolicy struct{ pair zoo.Pair }
@@ -290,13 +278,11 @@ func ScaleSweep(env *Env, cfg ScaleSweepConfig) (*ScaleSweepResult, error) {
 		}
 		agg := &scaleAgg{hist: newLatHist()}
 		fl, err := fleet.New(fleet.Config{
-			Seed:       seed,
-			Devices:    devices,
-			Placement:  fleet.NewRoundRobin(),
-			Admission:  *cfg.Admission,
-			Regions:    cell.Regions,
-			LegacyScan: cell.LegacyScan,
-			OnDepart:   agg.depart,
+			Seed:      seed,
+			Devices:   devices,
+			Placement: fleet.NewRoundRobin(),
+			Admission: *cfg.Admission,
+			OnDepart:  agg.depart,
 		})
 		if err != nil {
 			return nil, err
@@ -316,8 +302,6 @@ func ScaleSweep(env *Env, cfg ScaleSweepConfig) (*ScaleSweepResult, error) {
 		row := ScaleSweepRow{
 			Devices:          cell.Devices,
 			Streams:          cell.Streams,
-			Regions:          max(1, cell.Regions),
-			LegacyScan:       cell.LegacyScan,
 			SpanSec:          span,
 			Served:           out.Served,
 			Rejected:         out.Rejected,
@@ -342,37 +326,17 @@ func missRate(missed, frames int) float64 {
 	return float64(missed) / float64(frames)
 }
 
-// Report renders the grid with per-shape speedups against the legacy-scan
-// baseline (matched on devices and streams) when one was measured.
+// Report renders the grid.
 func (r *ScaleSweepResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet scale sweep: wall-clock event-loop throughput\n")
-	fmt.Fprintf(&b, "%8s %8s %8s %8s %10s %9s %8s %8s %8s %12s %8s\n",
-		"devices", "streams", "selector", "regions", "events", "wall_s", "ev/s", "p50_s", "p99_s", "miss", "speedup")
+	fmt.Fprintf(&b, "%8s %8s %10s %9s %8s %8s %8s %12s\n",
+		"devices", "streams", "events", "wall_s", "ev/s", "p50_s", "p99_s", "miss")
 	for _, row := range r.Rows {
-		sel := "heap"
-		if row.LegacyScan {
-			sel = "scan"
-		}
-		speedup := "-"
-		if !row.LegacyScan {
-			if base, ok := r.legacyBaseline(row.Devices, row.Streams); ok {
-				speedup = fmt.Sprintf("%.2fx", row.EventsPerSec/base.EventsPerSec)
-			}
-		}
-		fmt.Fprintf(&b, "%8d %8d %8s %8d %10d %9.2f %8.0f %8.3f %8.3f %11.2f%% %8s\n",
-			row.Devices, row.Streams, sel, row.Regions, row.Events, row.WallSec,
+		fmt.Fprintf(&b, "%8d %8d %10d %9.2f %8.0f %8.3f %8.3f %11.2f%%\n",
+			row.Devices, row.Streams, row.Events, row.WallSec,
 			row.EventsPerSec, row.LatencyP50Sec, row.LatencyP99Sec,
-			100*row.DeadlineMissRate, speedup)
+			100*row.DeadlineMissRate)
 	}
 	return b.String()
-}
-
-func (r *ScaleSweepResult) legacyBaseline(devices, streams int) (ScaleSweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.LegacyScan && row.Devices == devices && row.Streams == streams {
-			return row, true
-		}
-	}
-	return ScaleSweepRow{}, false
 }

@@ -6,24 +6,22 @@ import (
 )
 
 // quickScaleSweepConfig shrinks the grid to unit-test size: a 4-device fleet
-// serving 200 streams over a compressed two-minute "day", measured on the
-// legacy scan, the heap, and a 2-region shard of the same trace.
+// serving 200 streams over a compressed two-minute "day", measured twice.
 func quickScaleSweepConfig() ScaleSweepConfig {
 	cfg := DefaultScaleSweepConfig()
 	cfg.Cells = []ScaleSweepCell{
-		{Devices: 4, Streams: 200, LegacyScan: true},
 		{Devices: 4, Streams: 200},
-		{Devices: 4, Streams: 200, Regions: 2},
+		{Devices: 4, Streams: 200},
 	}
 	cfg.SpanSec = 120
 	return cfg
 }
 
-// TestScaleSweepSelectorsAgree pins the sweep's core claim: every selector
-// variant of the same cell shape reports bit-identical simulated results —
-// only the wall-clock columns may differ — and the trace actually saturates
-// enough to measure (nonzero events, frames, horizon near the span).
-func TestScaleSweepSelectorsAgree(t *testing.T) {
+// TestScaleSweepRepeatAgrees pins the sweep's determinism: two runs of the
+// same cell report bit-identical simulated results — only the wall-clock
+// columns may differ — and the trace actually saturates enough to measure
+// (nonzero events, frames, horizon near the span).
+func TestScaleSweepRepeatAgrees(t *testing.T) {
 	env, err := Shared()
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +30,8 @@ func TestScaleSweepSelectorsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
+	if len(res.Rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(res.Rows))
 	}
 	ref := res.Rows[0]
 	if ref.Served == 0 || ref.Frames == 0 || ref.Events == 0 {
@@ -43,25 +41,24 @@ func TestScaleSweepSelectorsAgree(t *testing.T) {
 		t.Fatalf("horizon %.1fs never approached the %.0fs span — trace too sparse to measure",
 			ref.HorizonSec, ref.SpanSec)
 	}
-	for i, row := range res.Rows[1:] {
-		if row.Served != ref.Served || row.Rejected != ref.Rejected ||
-			row.Frames != ref.Frames || row.Events != ref.Events ||
-			row.HorizonSec != ref.HorizonSec ||
-			row.LatencyP50Sec != ref.LatencyP50Sec ||
-			row.LatencyP99Sec != ref.LatencyP99Sec ||
-			row.DeadlineMissRate != ref.DeadlineMissRate {
-			t.Fatalf("row %d diverges from the legacy baseline:\n%+v\n%+v", i+1, ref, row)
-		}
+	if row := res.Rows[1]; row.Served != ref.Served || row.Rejected != ref.Rejected ||
+		row.Frames != ref.Frames || row.Events != ref.Events ||
+		row.HorizonSec != ref.HorizonSec ||
+		row.LatencyP50Sec != ref.LatencyP50Sec ||
+		row.LatencyP99Sec != ref.LatencyP99Sec ||
+		row.DeadlineMissRate != ref.DeadlineMissRate {
+		t.Fatalf("repeat diverges:\n%+v\n%+v", ref, row)
 	}
 	for _, row := range res.Rows {
 		if row.WallSec <= 0 || row.EventsPerSec <= 0 {
 			t.Fatalf("non-positive wall-clock measurement: %+v", row)
 		}
 	}
-	report := res.Report()
-	if !strings.Contains(report, "scan") || !strings.Contains(report, "heap") ||
-		!strings.Contains(report, "x") {
-		t.Fatalf("report missing selector rows or speedup column:\n%s", report)
+	if got, ok := res.Row(4); !ok || got != ref {
+		t.Fatalf("Row(4) = %+v, %v; want the first 4-device row", got, ok)
+	}
+	if report := res.Report(); !strings.Contains(report, "ev/s") || strings.Count(report, "\n") != 2+len(res.Rows) {
+		t.Fatalf("report missing header or rows:\n%s", report)
 	}
 }
 

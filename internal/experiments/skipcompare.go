@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 )
 
@@ -50,7 +51,7 @@ func SkipComparison(env *Env, scenarios []*scene.Scenario, skips []int) (*SkipCo
 	err := par.MapErr(len(summaries), func(i int) error {
 		ci, sc := i/nsc, scenarios[i%nsc]
 		var (
-			runner pipeline.Runner
+			runner runtime.Runner
 			method string
 			err    error
 		)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/textplot"
 )
@@ -17,37 +18,37 @@ import (
 type TableIIIResult struct {
 	Summaries []metrics.Summary
 	// PerScenario maps method name -> scenario name -> result.
-	PerScenario map[string]map[string]*pipeline.Result
+	PerScenario map[string]map[string]*runtime.Result
 }
 
 // methodFactory builds a fresh runner (with a fresh platform) per scenario,
 // so memory, clock and meters never leak between videos.
 type methodFactory struct {
 	name  string
-	build func(env *Env) (pipeline.Runner, error)
+	build func(env *Env) (runtime.Runner, error)
 }
 
 // tableIIIMethods are the six rows of Table III.
 func tableIIIMethods() []methodFactory {
 	return []methodFactory{
-		{"Marlin", func(env *Env) (pipeline.Runner, error) {
+		{"Marlin", func(env *Env) (runtime.Runner, error) {
 			return baseline.NewMarlin(env.System(), baseline.DefaultMarlinConfig())
 		}},
-		{"Marlin Tiny", func(env *Env) (pipeline.Runner, error) {
+		{"Marlin Tiny", func(env *Env) (runtime.Runner, error) {
 			cfg := baseline.DefaultMarlinConfig()
 			cfg.Model = "YoloV7-Tiny"
 			return baseline.NewMarlin(env.System(), cfg)
 		}},
-		{"SHIFT", func(env *Env) (pipeline.Runner, error) {
+		{"SHIFT", func(env *Env) (runtime.Runner, error) {
 			return pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
 		}},
-		{"Oracle E", func(env *Env) (pipeline.Runner, error) {
+		{"Oracle E", func(env *Env) (runtime.Runner, error) {
 			return baseline.NewOracle(env.System(), baseline.OracleEnergy)
 		}},
-		{"Oracle A", func(env *Env) (pipeline.Runner, error) {
+		{"Oracle A", func(env *Env) (runtime.Runner, error) {
 			return baseline.NewOracle(env.System(), baseline.OracleAccuracy)
 		}},
-		{"Oracle L", func(env *Env) (pipeline.Runner, error) {
+		{"Oracle L", func(env *Env) (runtime.Runner, error) {
 			return baseline.NewOracle(env.System(), baseline.OracleLatency)
 		}},
 	}
@@ -73,7 +74,7 @@ func TableIII(env *Env, scenarios []*scene.Scenario) (*TableIIIResult, error) {
 	}
 	methods := tableIIIMethods()
 	type cell struct {
-		result  *pipeline.Result
+		result  *runtime.Result
 		summary metrics.Summary
 	}
 	cells := make([]cell, len(methods)*len(scenarios))
@@ -100,10 +101,10 @@ func TableIII(env *Env, scenarios []*scene.Scenario) (*TableIIIResult, error) {
 		return nil, err
 	}
 
-	res := &TableIIIResult{PerScenario: map[string]map[string]*pipeline.Result{}}
+	res := &TableIIIResult{PerScenario: map[string]map[string]*runtime.Result{}}
 	for mi, mf := range methods {
 		perScenario := make([]metrics.Summary, 0, len(scenarios))
-		res.PerScenario[mf.name] = map[string]*pipeline.Result{}
+		res.PerScenario[mf.name] = map[string]*runtime.Result{}
 		for si, sc := range scenarios {
 			c := cells[mi*len(scenarios)+si]
 			res.PerScenario[mf.name][sc.Name] = c.result

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/runtime"
 )
 
 // DurabilityConfig enables the durable checkpoint journal — the in-process
@@ -59,15 +58,6 @@ func (f *Fleet) writeJournal(as *activeSession) error {
 	// view (and heap slot), per the cache invariant.
 	as.refresh()
 	f.retrack(as)
-	return f.commitJournal(as, snap)
-}
-
-// commitJournal stamps the next global journal sequence number and encodes
-// and stores the entry — split from the snapshot so region advances can
-// snapshot at the step and encode at the merge, keeping the embedded
-// sequence numbers (and so the exact journal bytes) identical to a
-// sequential run.
-func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) error {
 	f.journalSeq++
 	data, err := checkpoint.EncodeSnapshot(snap, as.req.Scenario, f.durable.RenderSeed, map[string]uint64{
 		"journal_seq": f.journalSeq,
@@ -82,26 +72,17 @@ func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) 
 	return nil
 }
 
-// journalDue advances the per-stream journal cadence after a served frame
-// and reports whether a checkpoint write is due.
-func (f *Fleet) journalDue(as *activeSession) bool {
+// observeDurable advances the per-stream journal cadence after a served
+// frame and writes a checkpoint when it comes due.
+func (f *Fleet) observeDurable(as *activeSession) error {
 	if f.durable == nil {
-		return false
+		return nil
 	}
 	as.sinceJournal++
 	if as.sinceJournal < f.durable.every() {
-		return false
-	}
-	as.sinceJournal = 0
-	return true
-}
-
-// observeDurable advances the per-stream journal cadence after a served
-// frame.
-func (f *Fleet) observeDurable(as *activeSession) error {
-	if !f.journalDue(as) {
 		return nil
 	}
+	as.sinceJournal = 0
 	return f.writeJournal(as)
 }
 

@@ -90,11 +90,6 @@ type Device struct {
 	Sys   *zoo.System
 	DML   *loader.Loader
 
-	// region is the device's event-heap shard (see Config.Regions), fixed
-	// at build time by name hash so listing order cannot move a device
-	// between regions.
-	region int
-
 	sessions []*activeSession
 	served   int
 	frames   int
@@ -189,7 +184,7 @@ type activeSession struct {
 	// session, refreshed only on the transitions that can change them
 	// (admission, Step, Snapshot, Drain, displacement, TimeScale change), so
 	// neither the event loop nor the placement signals recompute through the
-	// session per comparison. heapPos is the session's slot in its region's
+	// session per comparison. heapPos is the session's slot in the fleet's
 	// event heap (-1 when not enqueued).
 	readyAt  time.Duration
 	horizon  time.Duration
@@ -274,12 +269,6 @@ type Config struct {
 	// rejected at schedule validation, and results are bit-identical to a
 	// build without the journal).
 	Durability *DurabilityConfig
-	// Regions shards the devices into R groups that advance in parallel
-	// (via internal/par) between globally-ordered cross-region events —
-	// arrivals, fault edges, scale ticks and queue-draining admissions.
-	// Results are bit-identical for every region count and worker count;
-	// <= 1 keeps the event loop fully sequential.
-	Regions int
 	// OnDepart, when set, is invoked with each completing stream's outcome
 	// in global event order, after the fleet's own bookkeeping. Large-scale
 	// sweeps reduce outcomes incrementally and set out.Stream = nil to
@@ -288,16 +277,12 @@ type Config struct {
 	// independently. Rejected, aborted and shed streams do not pass through
 	// the hook.
 	OnDepart func(*StreamOutcome)
-	// LegacyScan pins event selection to the pre-heap O(devices × sessions)
-	// rescan. Results are bit-identical either way — the scan survives only
-	// as the equivalence-test oracle and the scale sweep's baseline.
-	LegacyScan bool
 	// Recorder attaches the flight recorder (internal/obs): the run records
 	// typed lifecycle spans and derives the metrics registry from them.
-	// Strictly observational — results are bit-identical with or without it,
-	// at every region count (pinned by the recorder equivalence tests and
-	// the determinism fuzzer). Nil disables recording at zero cost beyond
-	// one nil-check per hook.
+	// Strictly observational — results are bit-identical with or without it
+	// (pinned by the recorder equivalence tests and the determinism
+	// fuzzer). Nil disables recording at zero cost beyond one nil-check per
+	// hook.
 	Recorder *obs.Recorder
 	// Prefetch enables TAGE-style swap prediction with speculative overlap
 	// prefetch (internal/predict) on every served session, plus an
@@ -360,16 +345,13 @@ type Fleet struct {
 	crashes        int
 	replayedFrames int
 
-	// Event-loop state: nregions/regions hold the sharded session-event
-	// heaps (one region when sharding is off); legacyScan pins the selector
-	// to the rescan; auditCache (tests only) cross-checks every cached
-	// session view before each selection; events counts processed loop
-	// events; resHorizon accumulates departure completion times so
-	// Result.Horizon survives outcomes whose records an OnDepart hook
-	// released.
-	nregions   int
-	regions    []*region
-	legacyScan bool
+	// Event-loop state: heap holds every resident session's pending event;
+	// auditCache (tests only) cross-checks every cached session view and
+	// the heap top against the rescan before each selection; events counts
+	// processed loop events; resHorizon accumulates departure completion
+	// times so Result.Horizon survives outcomes whose records an OnDepart
+	// hook released.
+	heap       sessHeap
 	auditCache bool
 	onDepart   func(*StreamOutcome)
 	resHorizon time.Duration
@@ -400,9 +382,6 @@ func New(cfg Config) (*Fleet, error) {
 	if place == nil {
 		place = NewRoundRobin()
 	}
-	if cfg.Regions < 0 {
-		return nil, fmt.Errorf("fleet: negative region count %d", cfg.Regions)
-	}
 	f := &Fleet{
 		place:        place,
 		adm:          cfg.Admission,
@@ -412,8 +391,6 @@ func New(cfg Config) (*Fleet, error) {
 		affinity:     map[string]map[zoo.EngineKey]zoo.Pair{},
 		durable:      cfg.Durability,
 		journalStore: map[*StreamOutcome]*journalEntry{},
-		nregions:     max(1, cfg.Regions),
-		legacyScan:   cfg.LegacyScan,
 		onDepart:     cfg.OnDepart,
 		rec:          cfg.Recorder,
 		prefetch:     cfg.Prefetch,
@@ -423,9 +400,6 @@ func New(cfg Config) (*Fleet, error) {
 		// cap) see the same values the per-session predictors resolve.
 		norm := f.prefetch.WithDefaults()
 		f.prefetch = &norm
-	}
-	for i := 0; i < f.nregions; i++ {
-		f.regions = append(f.regions, &region{})
 	}
 	seen := map[string]bool{}
 	for _, dc := range cfg.Devices {
@@ -490,11 +464,10 @@ func (f *Fleet) buildDevice(dc DeviceConfig, poolMB int64) (*Device, error) {
 		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, poolMB*accel.MB)
 	}
 	return &Device{
-		Name:   dc.Name,
-		Scale:  scale,
-		Sys:    sys,
-		DML:    loader.New(sys, f.evict),
-		region: regionIndex(dc.Name, f.nregions),
+		Name:  dc.Name,
+		Scale: scale,
+		Sys:   sys,
+		DML:   loader.New(sys, f.evict),
 	}, nil
 }
 
@@ -697,15 +670,6 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 	}
 
 	for {
-		if f.nregions > 1 && !f.legacyScan && len(queue) == 0 {
-			// Advance all regions in parallel up to the next global event.
-			// Admissions happen only at global events, so a non-empty queue
-			// pins the loop sequential until it drains (a departure could
-			// otherwise admit a stream mid-interval on another region).
-			if err := f.advanceRegions(reqs, order, next, fevs, fi); err != nil {
-				return fail(err)
-			}
-		}
 		pick, ok := f.nextEvent(reqs, order, next, fevs, fi, len(queue))
 		if !ok {
 			// No departures, fault edges, arrivals or steppable sessions
@@ -946,8 +910,8 @@ func (f *Fleet) evacuate(d *Device, at time.Duration, queue *[]*pending, reason 
 		}
 		f.teach(as.out.Scenario, snap.Partial().Result.Records)
 		count()
-		// Drain emitted its span into the session's buffer; evacuations run
-		// on the sequential global path, so collect it in event order now.
+		// Drain emitted its span into the session's buffer; collect it in
+		// event order now.
 		f.flushSpans(as)
 		moved = append(moved, &pending{out: as.out, req: as.req, snap: snap, since: at})
 	}
@@ -1098,9 +1062,6 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 		// carries no predictor state) fall back to the scenario's learned
 		// affinity set. Best-effort and speculative — ErrNoMemory skips,
 		// residency is ghost-occupancy (never evicted for, never steered by).
-		// Admissions run on the sequential global path in both region modes,
-		// so flushing the pre-warm spans here keeps region-mode span
-		// collection ranges exact.
 		warm := sess.PredictedWorkingSet(0)
 		if len(warm) == 0 {
 			warm = f.Affinity(req.Scenario)
@@ -1126,15 +1087,8 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 }
 
 // depart closes a completed stream's session, records its outcome, frees its
-// admission slot and teaches the affinity model.
+// admission slot, releases its journal entry and teaches the affinity model.
 func (f *Fleet) depart(as *activeSession) {
-	f.departGlobal(as, f.departLocal(as))
-}
-
-// departLocal is the device-local half of departure: close the session,
-// unlink it from its heap and device, record the stream result and meter
-// the device. Region advances run it inside the parallel interval.
-func (f *Fleet) departLocal(as *activeSession) *runtime.StreamResult {
 	f.untrack(as)
 	_ = as.sess.Close() // a completed fixed sequence cannot fail to release
 	d := as.dev
@@ -1151,13 +1105,6 @@ func (f *Fleet) departLocal(as *activeSession) *runtime.StreamResult {
 	if h := as.sess.Horizon(); h > d.horizon {
 		d.horizon = h
 	}
-	return sr
-}
-
-// departGlobal is the cross-region half: journal release, affinity
-// teaching, the result horizon, and the caller's departure hook. Region
-// advances defer it to the merge so it applies in exact global event order.
-func (f *Fleet) departGlobal(as *activeSession, sr *runtime.StreamResult) {
 	delete(f.journalStore, as.out)
 	f.prefTotal.Add(as.sess.PrefetchStats())
 	f.teach(as.out.Scenario, sr.Result.Records)
@@ -1190,9 +1137,7 @@ func (f *Fleet) teach(scenario string, recs []runtime.FrameRecord) {
 }
 
 // flushSpans collects a session's buffered engine spans into the recorder's
-// global list — called on the sequential path after each step and after an
-// evacuation drain (the region-sharded path collects exact ranges at the
-// merge barrier instead).
+// global list — called after each step, pre-warm and evacuation drain.
 func (f *Fleet) flushSpans(as *activeSession) {
 	if f.rec != nil && as.sr != nil {
 		f.rec.Collect(as.sr)

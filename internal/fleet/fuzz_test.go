@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -62,16 +63,16 @@ func FuzzFleetDeterminism(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		run := func(devs []DeviceConfig, regions int, legacy bool, rec *obs.Recorder, pf *predict.Config) *Result {
+		// Every run arms the audit: before each selection the heap top must
+		// equal the pre-heap rescan's pick, and every cached view be fresh.
+		run := func(devs []DeviceConfig, rec *obs.Recorder, pf *predict.Config) *Result {
 			fl, err := New(Config{
-				Seed:       wseed,
-				Devices:    devs,
-				Placement:  NewResidencyAffinity(),
-				Admission:  Admission{PerDeviceStreams: 2, QueueLimit: 3},
-				Regions:    regions,
-				LegacyScan: legacy,
-				Recorder:   rec,
-				Prefetch:   pf,
+				Seed:      wseed,
+				Devices:   devs,
+				Placement: NewResidencyAffinity(),
+				Admission: Admission{PerDeviceStreams: 2, QueueLimit: 3},
+				Recorder:  rec,
+				Prefetch:  pf,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -88,47 +89,25 @@ func FuzzFleetDeterminism(f *testing.F) {
 			}
 			return res
 		}
-		a := run(devices, 0, false, nil, nil)
-		b := run(devices, 0, false, nil, nil)
+		a := run(devices, nil, nil)
+		b := run(devices, nil, nil)
 		compareRuns(t, a, b, "repeat")
+		if a.Events != b.Events {
+			t.Fatalf("event counts diverge across repeats: %d vs %d", a.Events, b.Events)
+		}
 		shuffled := make([]DeviceConfig, devCount)
 		for i := range devices {
 			shuffled[(i+1)%devCount] = devices[i]
 		}
-		c := run(shuffled, 0, false, nil, nil)
+		c := run(shuffled, nil, nil)
 		compareRuns(t, a, c, "shuffled-devices")
-		// Selector equivalence: the legacy O(devices × sessions) rescan and
-		// the sharded-region loop must replay the heap run bit-for-bit, at a
-		// region count derived from the input so the corpus explores several.
-		l := run(devices, 0, true, nil, nil)
-		compareRuns(t, a, l, "legacy-scan")
-		regions := int((wseed+fseed+ndev)%3) + 2
-		r := run(devices, regions, false, nil, nil)
-		compareRuns(t, a, r, "regions")
-		if a.Events != l.Events || a.Events != r.Events {
-			t.Fatalf("event counts diverge across selectors: heap %d, legacy %d, %d-region %d",
-				a.Events, l.Events, regions, r.Events)
-		}
 		// Flight recorder: attaching one is strictly observational — results
-		// stay bit-identical, sequential and region-sharded recordings agree
-		// span for span, and every frame span's latency decomposition sums
-		// exactly (integer Duration domain, no rounding slack).
+		// stay bit-identical, and every frame span's latency decomposition
+		// sums exactly (integer Duration domain, no rounding slack).
 		recA := obs.NewRecorder()
-		ra := run(devices, 0, false, recA, nil)
+		ra := run(devices, recA, nil)
 		compareRuns(t, a, ra, "recorder-attached")
-		recR := obs.NewRecorder()
-		rr := run(devices, regions, false, recR, nil)
-		compareRuns(t, a, rr, "recorder-regions")
-		sa, sr := recA.Spans(), recR.Spans()
-		if len(sa) != len(sr) {
-			t.Fatalf("span counts diverge: sequential %d, %d-region %d", len(sa), regions, len(sr))
-		}
-		for i := range sa {
-			if sa[i] != sr[i] {
-				t.Fatalf("span %d diverges across region counts:\n%+v\n%+v", i, sa[i], sr[i])
-			}
-		}
-		for i, sp := range sa {
+		for i, sp := range recA.Spans() {
 			if sp.Kind != obs.SpanFrame {
 				continue
 			}
@@ -142,31 +121,74 @@ func FuzzFleetDeterminism(f *testing.F) {
 		}
 		// Predictor on: the swap predictor and its speculative prefetches run
 		// under every fuzzed shape and fault schedule, and must stay exactly
-		// as deterministic as the committed path — a repeat at a different
-		// region count reproduces results, spans and scorecard bit-for-bit,
-		// prefetch-hit frames carry zero swap stall, and every decomposition
-		// still sums exactly (checkPrefetchSpans, shared with the fleet
-		// prefetch test).
+		// as deterministic as the committed path — a repeat reproduces
+		// results, spans and scorecard bit-for-bit, prefetch-hit frames carry
+		// zero swap stall, and every decomposition still sums exactly
+		// (checkPrefetchSpans, shared with the fleet prefetch test).
 		pf := predict.DefaultConfig()
 		recP := obs.NewRecorder()
-		p1 := run(devices, 0, false, recP, &pf)
+		p1 := run(devices, recP, &pf)
 		recP2 := obs.NewRecorder()
-		p2 := run(devices, regions, false, recP2, &pf)
-		compareRuns(t, p1, p2, "prefetch-regions")
+		p2 := run(devices, recP2, &pf)
+		compareRuns(t, p1, p2, "prefetch-repeat")
 		if p1.Prefetch != p2.Prefetch {
-			t.Fatalf("predictor scorecard diverges across region counts: %+v vs %+v", p1.Prefetch, p2.Prefetch)
+			t.Fatalf("predictor scorecard diverges across repeats: %+v vs %+v", p1.Prefetch, p2.Prefetch)
 		}
 		sp1, sp2 := recP.Spans(), recP2.Spans()
 		if len(sp1) != len(sp2) {
-			t.Fatalf("prefetch-on span counts diverge: sequential %d, %d-region %d", len(sp1), regions, len(sp2))
+			t.Fatalf("prefetch-on span counts diverge across repeats: %d vs %d", len(sp1), len(sp2))
 		}
 		for i := range sp1 {
 			if sp1[i] != sp2[i] {
-				t.Fatalf("prefetch-on span %d diverges across region counts:\n%+v\n%+v", i, sp1[i], sp2[i])
+				t.Fatalf("prefetch-on span %d diverges across repeats:\n%+v\n%+v", i, sp1[i], sp2[i])
 			}
 		}
 		if hits := checkPrefetchSpans(t, sp1); hits != p1.Prefetch.FullHits {
 			t.Fatalf("recorder saw %d prefetch-hit spans, scorecard says %d full hits", hits, p1.Prefetch.FullHits)
 		}
+		// Prefetch never steers a fault-free fleet: admission, placement and
+		// every per-frame decision and detection match the predictor-off run;
+		// only latency and energy may move. Under faults it does not hold —
+		// prefetch moves virtual time, so a fault catches a stream at a
+		// different frame and can move its placement (DESIGN.md §14).
+		if len(faults) == 0 {
+			compareDecisions(t, a, p1, "prefetch-vs-off")
+		}
 	})
+}
+
+// compareDecisions checks that two runs made the same decisions: each
+// outcome's admission fate and serving path, and each record's pair,
+// detection and swap/reschedule flags. Timings, latency and energy are not
+// compared.
+func compareDecisions(t *testing.T, a, b *Result, label string) {
+	t.Helper()
+	if len(a.Outcomes) != len(b.Outcomes) {
+		t.Fatalf("%s: %d vs %d outcomes", label, len(a.Outcomes), len(b.Outcomes))
+	}
+	for i := range a.Outcomes {
+		oa, ob := a.Outcomes[i], b.Outcomes[i]
+		if oa.Rejected != ob.Rejected || oa.Aborted != ob.Aborted || oa.Shed != ob.Shed ||
+			!slices.Equal(oa.Devices, ob.Devices) {
+			t.Fatalf("%s: outcome %d (%s) fate differs: rejected %v/%v aborted %v/%v shed %v/%v path %v/%v",
+				label, i, oa.Name, oa.Rejected, ob.Rejected, oa.Aborted, ob.Aborted, oa.Shed, ob.Shed, oa.Devices, ob.Devices)
+		}
+		if oa.Stream == nil || ob.Stream == nil {
+			if (oa.Stream == nil) != (ob.Stream == nil) {
+				t.Fatalf("%s: outcome %d (%s) has records in only one run", label, i, oa.Name)
+			}
+			continue
+		}
+		ra, rb := oa.Stream.Result.Records, ob.Stream.Result.Records
+		if len(ra) != len(rb) {
+			t.Fatalf("%s: stream %s record counts differ: %d vs %d", label, oa.Name, len(ra), len(rb))
+		}
+		for j := range ra {
+			x, y := ra[j], rb[j]
+			if x.Pair != y.Pair || x.Found != y.Found || x.Conf != y.Conf || x.IoU != y.IoU ||
+				x.Box != y.Box || x.Swapped != y.Swapped || x.Rescheduled != y.Rescheduled {
+				t.Fatalf("%s: stream %s record %d decision differs:\n%+v\n%+v", label, oa.Name, j, x, y)
+			}
+		}
+	}
 }

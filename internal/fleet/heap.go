@@ -14,10 +14,11 @@ import (
 // the scale tick is a single computed candidate, so only the session events
 // need a real priority structure: each resident session contributes exactly
 // one pending event, its next step at ReadyAt() or its departure at
-// Horizon() once Done(). Each region keeps those on an indexed binary
-// min-heap ordered by the same key the legacy rescan's first-minimum-wins
+// Horizon() once Done(). The fleet keeps those on one indexed binary
+// min-heap ordered by the same key the pre-heap rescan's first-minimum-wins
 // selection implied, making selection O(log n) per event instead of
-// O(devices × sessions).
+// O(devices × sessions). The rescan survives only as the test-armed audit
+// oracle (auditSessionCache).
 
 // eventKind ranks the event classes at equal virtual time. The numeric
 // order IS the loop's tie order; do not reorder.
@@ -29,9 +30,6 @@ const (
 	evScale
 	evArrival
 	evStep
-	// evNone is the open-barrier sentinel: it sorts after every real kind,
-	// so a missing global event never stops a region from draining.
-	evNone
 )
 
 // eventAt is when the session's pending event fires.
@@ -66,7 +64,7 @@ func sessBefore(a, b *activeSession) bool {
 	return a.seq < b.seq
 }
 
-// sessHeap is an indexed binary min-heap of one region's session events.
+// sessHeap is an indexed binary min-heap of the fleet's session events.
 // Each activeSession carries its slot (heapPos), so re-sorting after an
 // in-place key change and removing from the middle are both O(log n).
 type sessHeap struct{ evs []*activeSession }
@@ -147,14 +145,11 @@ func (h *sessHeap) swap(i, j int) {
 	h.evs[j].heapPos = j
 }
 
-// track enqueues a just-admitted session on its region's heap; untrack
-// removes a departing/evacuated one; retrack re-sorts after a cached-event
-// refresh. Maintenance runs in every mode — the legacy scan ignores the
-// heaps for selection but keeps them consistent, so the equivalence tests
-// exercise identical structures.
-func (f *Fleet) track(as *activeSession)   { f.regions[as.dev.region].heap.push(as) }
-func (f *Fleet) untrack(as *activeSession) { f.regions[as.dev.region].heap.remove(as) }
-func (f *Fleet) retrack(as *activeSession) { f.regions[as.dev.region].heap.fix(as) }
+// track enqueues a just-admitted session on the event heap; untrack removes
+// a departing/evacuated one; retrack re-sorts after a cached-event refresh.
+func (f *Fleet) track(as *activeSession)   { f.heap.push(as) }
+func (f *Fleet) untrack(as *activeSession) { f.heap.remove(as) }
+func (f *Fleet) retrack(as *activeSession) { f.heap.fix(as) }
 
 // nextPick is one selected event: its class, firing time, the session
 // (departure and step only), and whether a scale tick fired with nothing
@@ -166,44 +161,6 @@ type nextPick struct {
 	lastResort bool
 }
 
-// bestSession returns the earliest pending session event — the minimum over
-// the region heap tops, or the legacy full rescan when the scan selector is
-// pinned — and nil when no session is resident. The two selectors agree
-// bit-for-bit: the rescan visits devices in name order and sessions in
-// admission order, so its first-minimum-wins choice is exactly the heap key.
-func (f *Fleet) bestSession() *activeSession {
-	if f.legacyScan {
-		// The pre-heap O(devices × sessions) selection, retained as the
-		// equivalence-test oracle and the scale sweep's baseline.
-		var dep, step *activeSession
-		var depAt, stepAt time.Duration
-		for _, d := range f.devices {
-			for _, as := range d.sessions {
-				if as.finished {
-					if t := as.horizon; dep == nil || t < depAt {
-						dep, depAt = as, t
-					}
-				} else {
-					if t := as.readyAt; step == nil || t < stepAt {
-						step, stepAt = as, t
-					}
-				}
-			}
-		}
-		if dep == nil || (step != nil && stepAt < depAt) {
-			return step
-		}
-		return dep
-	}
-	var best *activeSession
-	for _, rg := range f.regions {
-		if top := rg.heap.peek(); top != nil && (best == nil || sessBefore(top, best)) {
-			best = top
-		}
-	}
-	return best
-}
-
 // nextEvent selects the earliest pending event across all five classes,
 // replicating the legacy switch's `<=` chains: at equal time the smaller
 // kind wins. ok is false when nothing remains — the loop's terminal state.
@@ -211,7 +168,7 @@ func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []fa
 	if f.auditCache {
 		f.auditSessionCache()
 	}
-	sess := f.bestSession()
+	sess := f.heap.peek()
 	if sess != nil {
 		at, kind := sess.eventKey()
 		pick, ok = nextPick{kind: kind, at: at, as: sess}, true
@@ -244,10 +201,13 @@ func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []fa
 	return pick, ok
 }
 
-// auditSessionCache cross-checks every session's cached event view against
-// the live session — the stale-cache regression hook, enabled only by
-// tests. A mismatch means some transition that changes ReadyAt/Horizon/
-// Done/Remaining skipped its refresh.
+// auditSessionCache is the test-armed consistency hook run before every
+// selection. It cross-checks every session's cached event view against the
+// live session — a mismatch means some transition that changes ReadyAt/
+// Horizon/Done/Remaining skipped its refresh — and then checks the heap top
+// against the pre-heap O(devices × sessions) rescan, so heap-vs-scan
+// equivalence holds at every event of an audited run, not only in its end
+// results.
 func (f *Fleet) auditSessionCache() {
 	for _, d := range f.devices {
 		for _, as := range d.sessions {
@@ -260,4 +220,37 @@ func (f *Fleet) auditSessionCache() {
 			}
 		}
 	}
+	if top, want := f.heap.peek(), f.scanSession(); top != want {
+		panic(fmt.Sprintf("fleet: heap top %s differs from scan pick %s", sessName(top), sessName(want)))
+	}
+}
+
+// scanSession is the pre-heap selection: visit devices in name order and
+// sessions in admission order, keep the first minimum departure and the
+// first minimum step, and let a departure win a tie. That first-minimum-wins
+// choice is exactly the heap key, which the audit relies on.
+func (f *Fleet) scanSession() *activeSession {
+	var dep, step *activeSession
+	for _, d := range f.devices {
+		for _, as := range d.sessions {
+			if as.finished {
+				if dep == nil || as.horizon < dep.horizon {
+					dep = as
+				}
+			} else if step == nil || as.readyAt < step.readyAt {
+				step = as
+			}
+		}
+	}
+	if dep == nil || (step != nil && step.readyAt < dep.horizon) {
+		return step
+	}
+	return dep
+}
+
+func sessName(as *activeSession) string {
+	if as == nil {
+		return "<none>"
+	}
+	return as.out.Name + "@" + as.dev.Name
 }

@@ -17,8 +17,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
 
 // runRecordedWorkload serves the shared seeded workload on the standard
-// 3-device fleet with rec attached (nil: detached) at the given region count.
-func runRecordedWorkload(t *testing.T, regions int, rec *obs.Recorder) *Result {
+// 3-device fleet with rec attached (nil: detached).
+func runRecordedWorkload(t *testing.T, rec *obs.Recorder) *Result {
 	t.Helper()
 	f, err := New(Config{
 		Seed: 7,
@@ -31,7 +31,6 @@ func runRecordedWorkload(t *testing.T, regions int, rec *obs.Recorder) *Result {
 		// One stream per device with a one-deep queue: the 8-stream workload
 		// overflows, so the fold's rejected/aborted paths are exercised too.
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: 1},
-		Regions:   regions,
 		Recorder:  rec,
 	})
 	if err != nil {
@@ -49,38 +48,15 @@ func runRecordedWorkload(t *testing.T, regions int, rec *obs.Recorder) *Result {
 // record by record, timing by timing — to the same run detached, and the two
 // summaries compare equal as structs.
 func TestRecorderDetachedBitIdentical(t *testing.T) {
-	detached := runRecordedWorkload(t, 0, nil)
+	detached := runRecordedWorkload(t, nil)
 	rec := obs.NewRecorder()
-	attached := runRecordedWorkload(t, 0, rec)
+	attached := runRecordedWorkload(t, rec)
 	compareRuns(t, detached, attached, "recorder-attached")
 	if Summarize(detached) != Summarize(attached) {
 		t.Fatal("summaries diverge between attached and detached runs")
 	}
 	if len(rec.Spans()) == 0 {
 		t.Fatal("attached recorder captured no spans")
-	}
-}
-
-// TestRecorderSpansIdenticalAcrossRegions pins the barrier-merge span path:
-// the recorded span stream — order included — is identical whether the event
-// loop runs sequentially or sharded across any region count, because region
-// pend-buffers are collected at the merge in global event-key order.
-func TestRecorderSpansIdenticalAcrossRegions(t *testing.T) {
-	base := obs.NewRecorder()
-	runRecordedWorkload(t, 0, base)
-	want := base.Spans()
-	for _, regions := range []int{2, 3, 5} {
-		rec := obs.NewRecorder()
-		runRecordedWorkload(t, regions, rec)
-		got := rec.Spans()
-		if len(got) != len(want) {
-			t.Fatalf("regions=%d: %d spans, want %d", regions, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("regions=%d: span %d diverges:\n%+v\n%+v", regions, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -91,7 +67,7 @@ func TestRecorderSpansIdenticalAcrossRegions(t *testing.T) {
 // import internal/metrics, so the restatement is pinned here instead).
 func TestRecorderRederivesSummary(t *testing.T) {
 	rec := obs.NewRecorder()
-	res := runRecordedWorkload(t, 0, rec)
+	res := runRecordedWorkload(t, rec)
 	sum := Summarize(res)
 	reg := rec.Registry()
 	counters := []struct {

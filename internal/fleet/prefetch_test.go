@@ -62,7 +62,7 @@ func (p *cyclePolicy) Step(st *runtime.Step) error {
 // 1100 MB pool fits any two of {YoloV7 600, SSD-MobilenetV1 150,
 // SSD-Resnet50 400} but never all three, so block-cycling streams swap at
 // every block boundary forever.
-func prefetchCell(t *testing.T, regions int, rec *obs.Recorder, pf *predict.Config) *Result {
+func prefetchCell(t *testing.T, rec *obs.Recorder, pf *predict.Config) *Result {
 	t.Helper()
 	frames := testFrames(t)[:108]
 	newSystem := func(seed uint64) *zoo.System {
@@ -78,7 +78,6 @@ func prefetchCell(t *testing.T, regions int, rec *obs.Recorder, pf *predict.Conf
 		},
 		Placement: NewResidencyAffinity(),
 		Admission: Admission{PerDeviceStreams: 2, QueueLimit: 2},
-		Regions:   regions,
 		NewSystem: newSystem,
 		Recorder:  rec,
 		Prefetch:  pf,
@@ -160,12 +159,12 @@ func checkPrefetchSpans(t *testing.T, spans []obs.Span) (hits int) {
 // predictor on and pins the fleet-level prefetch properties: the run
 // actually produces full prefetch hits (the suite is not vacuous), hit
 // frames pay zero swap stall, every frame decomposition sums bit-exactly,
-// and the run is deterministic — an identical repeat and a region-sharded
-// advance reproduce results, spans and the predictor scorecard bit-for-bit.
+// and the run is deterministic — an identical repeat reproduces results,
+// spans and the predictor scorecard bit-for-bit.
 func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
 	pf := predict.DefaultConfig()
 	rec := obs.NewRecorder()
-	a := prefetchCell(t, 0, rec, &pf)
+	a := prefetchCell(t, rec, &pf)
 	if a.Prefetch.Swaps == 0 {
 		t.Fatal("cell produced no swaps; the prefetch suite is vacuous")
 	}
@@ -183,7 +182,7 @@ func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
 
 	// Identical repeat: results, spans and scorecard must reproduce exactly.
 	rec2 := obs.NewRecorder()
-	b := prefetchCell(t, 0, rec2, &pf)
+	b := prefetchCell(t, rec2, &pf)
 	compareRuns(t, a, b, "prefetch-repeat")
 	if a.Prefetch != b.Prefetch {
 		t.Fatalf("predictor scorecard not deterministic: %+v vs %+v", a.Prefetch, b.Prefetch)
@@ -195,23 +194,6 @@ func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("span %d diverges across repeats:\n%+v\n%+v", i, sa[i], sb[i])
-		}
-	}
-
-	// Region-sharded advance: same cell, three regions, bit-identical.
-	rec3 := obs.NewRecorder()
-	c := prefetchCell(t, 3, rec3, &pf)
-	compareRuns(t, a, c, "prefetch-regions")
-	if a.Prefetch != c.Prefetch {
-		t.Fatalf("predictor scorecard diverges under region sharding: %+v vs %+v", a.Prefetch, c.Prefetch)
-	}
-	sc := rec3.Spans()
-	if len(sa) != len(sc) {
-		t.Fatalf("span counts diverge across region counts: %d vs %d", len(sa), len(sc))
-	}
-	for i := range sa {
-		if sa[i] != sc[i] {
-			t.Fatalf("span %d diverges across region counts:\n%+v\n%+v", i, sa[i], sc[i])
 		}
 	}
 }

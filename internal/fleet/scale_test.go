@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,19 +12,17 @@ import (
 	"repro/internal/zoo"
 )
 
-// selectorGrid runs one (workload, faults, config) scenario through every
-// event-loop selector — indexed heap (the default), legacy rescan, and
-// sharded regions at two counts — with the stale-cache audit armed, and
-// asserts all four runs are bit-identical, event counts and journal traffic
-// included. This is the scan-vs-heap / R=1-vs-R>1 equivalence test the heap
-// refactor is pinned by, on scenarios richer than the fuzz corpus explores
-// per input: elastic scale-out/in, brownout TimeScale churn, crash recovery.
-func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fault, base Config, check func(*Result)) {
+// selectorGrid runs one (workload, faults, config) scenario twice with the
+// audit armed. Before every selection the audit checks each cached session
+// view and compares the heap top with the pre-heap rescan's pick, so the
+// heap-vs-scan equivalence holds event by event; the two runs must then
+// agree bit for bit, event counts and journal traffic included, and leak
+// neither residency refs nor journal entries. The scenarios are richer than
+// the fuzz corpus explores per input: elastic scale-out/in, brownout
+// TimeScale churn, crash recovery.
+func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fault, cfg Config, check func(*Result)) {
 	t.Helper()
-	run := func(regions int, legacy bool) *Result {
-		cfg := base
-		cfg.Regions = regions
-		cfg.LegacyScan = legacy
+	run := func() *Result {
 		fl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -38,39 +37,29 @@ func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fau
 				t.Fatalf("%s: device %s leaked %d residency refs", label, d.Name, n)
 			}
 		}
-		if len(fl.journalStore) != 0 && base.Durability != nil {
+		if len(fl.journalStore) != 0 && cfg.Durability != nil {
 			// Every in-flight entry is released at departure/abort/shed; a
 			// clean run must end with an empty journal.
 			t.Fatalf("%s: %d journal entries leaked", label, len(fl.journalStore))
 		}
 		return res
 	}
-	heap := run(0, false)
-	check(heap)
-	for _, v := range []struct {
-		name    string
-		regions int
-		legacy  bool
-	}{
-		{"legacy-scan", 0, true},
-		{"regions-2", 2, false},
-		{"regions-5", 5, false},
-	} {
-		got := run(v.regions, v.legacy)
-		compareRuns(t, heap, got, label+"/"+v.name)
-		if heap.Events != got.Events {
-			t.Fatalf("%s/%s: event counts differ: %d vs %d", label, v.name, heap.Events, got.Events)
-		}
-		if heap.JournalWrites != got.JournalWrites || heap.JournalBytes != got.JournalBytes {
-			t.Fatalf("%s/%s: journal traffic differs: %d/%d vs %d/%d bytes", label, v.name,
-				heap.JournalWrites, heap.JournalBytes, got.JournalWrites, got.JournalBytes)
-		}
+	a := run()
+	check(a)
+	b := run()
+	compareRuns(t, a, b, label+"/repeat")
+	if a.Events != b.Events {
+		t.Fatalf("%s: event counts differ: %d vs %d", label, a.Events, b.Events)
+	}
+	if a.JournalWrites != b.JournalWrites || a.JournalBytes != b.JournalBytes {
+		t.Fatalf("%s: journal traffic differs: %d/%d vs %d/%d bytes", label,
+			a.JournalWrites, a.JournalBytes, b.JournalWrites, b.JournalBytes)
 	}
 }
 
 // TestFleetSelectorEquivalenceElastic: an elastic fleet under queue pressure
-// (scale-out, then drain-based scale-in) replays identically on every
-// selector and region count.
+// (scale-out, then drain-based scale-in) keeps the heap top equal to the
+// rescan's pick at every event and replays identically.
 func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 11, Streams: 8, RatePerSec: 1.5, PeriodSec: 0.1,
@@ -97,9 +86,9 @@ func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 }
 
 // TestFleetSelectorEquivalenceFaulty: brownout TimeScale churn, an outage
-// migration and a crash recovery from the durable journal replay identically
-// on every selector and region count — the fault paths all maintain the heap
-// (and the cached event views) correctly.
+// migration and a crash recovery from the durable journal keep the heap top
+// equal to the rescan's pick at every event and replay identically — the
+// fault paths all maintain the heap (and the cached event views) correctly.
 func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 5, Streams: 6, RatePerSec: 1, PeriodSec: 0.1,
@@ -219,4 +208,52 @@ func TestFleetStaleCacheAuditTripsOnSkippedRefresh(t *testing.T) {
 		}
 	}()
 	fl.nextEvent(reqs, []int{0}, 1, nil, 0, 0)
+}
+
+// TestFleetScanOracleTripsOnHeapDisorder proves the audit's rescan oracle is
+// live: with every cached view fresh but two heap entries swapped behind the
+// heap's back, the next selection must panic with a heap-vs-scan mismatch.
+// A no-op oracle would otherwise pass every audited run.
+func TestFleetScanOracleTripsOnHeapDisorder(t *testing.T) {
+	fl, err := New(Config{
+		Seed:      3,
+		Devices:   []DeviceConfig{{Name: "edge-a"}},
+		Placement: NewRoundRobin(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]StreamRequest, 2)
+	for i := range reqs {
+		reqs[i] = StreamRequest{
+			Name: "s" + string(rune('0'+i)), Scenario: "s2", Arrival: 0, Frames: testFrames(t)[:10],
+			PeriodSec: 0.05, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
+		}
+	}
+	var queue []*pending
+	for i := range reqs {
+		if _, err := fl.arrive(&reqs[i], 0, &queue); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for _, as := range fl.devices[0].sessions {
+			_ = as.sess.Close()
+		}
+	}()
+	if fl.heap.len() != 2 {
+		t.Fatalf("heap holds %d sessions, want 2", fl.heap.len())
+	}
+	// Both sessions are fresh and ready at 0; the heap key puts the first
+	// admission on top. Swapping the two slots without a fix-up leaves the
+	// later admission on top while the rescan still picks the first.
+	fl.heap.swap(0, 1)
+	fl.auditCache = true
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "differs from scan pick") {
+			t.Fatalf("heap disorder not detected by the scan oracle (panic: %q)", msg)
+		}
+	}()
+	fl.nextEvent(reqs, []int{0, 1}, 2, nil, 0, 0)
 }

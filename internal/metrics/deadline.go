@@ -3,7 +3,7 @@ package metrics
 import (
 	"fmt"
 
-	"repro/internal/pipeline"
+	"repro/internal/runtime"
 )
 
 // DeadlineStats models a live camera feeding the detector at a fixed frame
@@ -43,7 +43,7 @@ func (d DeadlineStats) String() string {
 // Deadline replays a result's per-frame processing times against a camera
 // period and returns the deadline statistics. It panics-free handles empty
 // results and non-positive periods (returning zero stats).
-func Deadline(res *pipeline.Result, periodSec float64) DeadlineStats {
+func Deadline(res *runtime.Result, periodSec float64) DeadlineStats {
 	d := DeadlineStats{PeriodSec: periodSec}
 	if periodSec <= 0 || len(res.Records) == 0 {
 		return d

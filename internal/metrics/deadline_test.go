@@ -4,13 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/pipeline"
+	"repro/internal/runtime"
 )
 
-func resultWithLatencies(lats ...float64) *pipeline.Result {
-	res := &pipeline.Result{}
+func resultWithLatencies(lats ...float64) *runtime.Result {
+	res := &runtime.Result{}
 	for i, l := range lats {
-		res.Records = append(res.Records, pipeline.FrameRecord{Index: i, LatSec: l})
+		res.Records = append(res.Records, runtime.FrameRecord{Index: i, LatSec: l})
 	}
 	return res
 }
@@ -77,7 +77,7 @@ func TestDeadlineQueueingLatency(t *testing.T) {
 }
 
 func TestDeadlineDegenerate(t *testing.T) {
-	if d := Deadline(&pipeline.Result{}, 0.033); d.OnTime != 0 || d.Late != 0 {
+	if d := Deadline(&runtime.Result{}, 0.033); d.OnTime != 0 || d.Late != 0 {
 		t.Fatal("empty result should be zero stats")
 	}
 	if d := Deadline(resultWithLatencies(0.01), 0); d.OnTimeRate() != 0 {

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 )
 
 // SuccessIoU is the paper's success threshold: a frame counts as successful
@@ -35,7 +36,7 @@ type Summary struct {
 }
 
 // Summarize reduces a single result to its summary.
-func Summarize(res *pipeline.Result) Summary {
+func Summarize(res *runtime.Result) Summary {
 	s := Summary{Method: res.Method, Scenarios: 1, Frames: len(res.Records)}
 	if s.Frames == 0 {
 		return s
@@ -102,7 +103,7 @@ func Combine(summaries []Summary) (Summary, error) {
 
 // EfficiencySeries returns the per-frame IoU-per-Joule series of a result —
 // the quantity plotted in Fig. 2. Frames with zero energy yield zero.
-func EfficiencySeries(res *pipeline.Result) []float64 {
+func EfficiencySeries(res *runtime.Result) []float64 {
 	out := make([]float64, len(res.Records))
 	for i, r := range res.Records {
 		if r.EnergyJ > 0 {

@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/accel"
-	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/zoo"
 )
 
-func rec(iou, lat, energy float64, kind accel.Kind, swapped bool) pipeline.FrameRecord {
-	return pipeline.FrameRecord{
+func rec(iou, lat, energy float64, kind accel.Kind, swapped bool) runtime.FrameRecord {
+	return runtime.FrameRecord{
 		Pair:    zoo.Pair{Model: "m", ProcID: "p", Kind: kind},
 		IoU:     iou,
 		LatSec:  lat,
@@ -21,7 +21,7 @@ func rec(iou, lat, energy float64, kind accel.Kind, swapped bool) pipeline.Frame
 }
 
 func TestSummarizeBasics(t *testing.T) {
-	res := &pipeline.Result{Method: "test", Records: []pipeline.FrameRecord{
+	res := &runtime.Result{Method: "test", Records: []runtime.FrameRecord{
 		rec(0.6, 0.1, 1.0, accel.KindGPU, false),
 		rec(0.4, 0.2, 2.0, accel.KindDLA, true),
 	}}
@@ -44,7 +44,7 @@ func TestSummarizeBasics(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(&pipeline.Result{Method: "x"})
+	s := Summarize(&runtime.Result{Method: "x"})
 	if s.Frames != 0 || s.AvgIoU != 0 {
 		t.Fatalf("empty summary: %+v", s)
 	}
@@ -83,7 +83,7 @@ func TestCombineErrors(t *testing.T) {
 }
 
 func TestEfficiencySeries(t *testing.T) {
-	res := &pipeline.Result{Records: []pipeline.FrameRecord{
+	res := &runtime.Result{Records: []runtime.FrameRecord{
 		rec(0.5, 0.1, 2.0, accel.KindGPU, false),
 		rec(0.5, 0.1, 0, accel.KindGPU, false),
 	}}

@@ -37,8 +37,8 @@ type Attribution struct {
 
 // Attribution reduces the recorder's frame spans to the latency
 // decomposition. Sums run in the integer Duration domain; only the final
-// shares divide into float64, so the reduction is deterministic and
-// independent of region count (the span list itself is).
+// shares divide into float64, so the reduction is as deterministic as the
+// span list itself.
 func (r *Recorder) Attribution() Attribution {
 	var a Attribution
 	var total, queue, swap, exec, wait time.Duration

@@ -6,20 +6,13 @@
 // (pinned by the fleet determinism fuzzer and the recorder equivalence
 // tests in internal/fleet).
 //
-// Two write paths feed one globally-ordered span list:
-//
-//   - Fleet-level lifecycle events (arrival, queue wait, migration,
-//     brownout, crash recovery) happen on the event loop's sequential global
-//     path and append directly, in event order.
-//   - Per-frame engine events (loads, execs, the frame attribution span)
-//     are emitted into a per-stream pending buffer (StreamRec) while the
-//     step runs — each stream is owned by exactly one region, so buffering
-//     is race-free under region-sharded advances — and are collected into
-//     the global list at the same points the fleet applies other
-//     cross-region effects: after each step on the sequential path, and in
-//     exact global key order at the region merge barrier (the journal-encode
-//     discipline of internal/fleet/region.go). The collected span order is
-//     therefore bit-identical at every region count.
+// Fleet-level lifecycle events (arrival, queue wait, migration, brownout,
+// crash recovery) append directly to one globally-ordered span list, in
+// event order. Per-frame engine events (loads, execs, the frame attribution
+// span) are emitted into a per-stream pending buffer (StreamRec) while the
+// step runs, and the event loop moves them into the global list with
+// Collect right after the step (and after a pre-warm or drain) — one span
+// write path, so the collected order is the event order.
 //
 // The package is a leaf: the runtime engine and the fleet loop both import
 // it, so it depends only on the standard library (internal/metrics sits
@@ -222,8 +215,8 @@ func (r *Recorder) OpenStream(stream, device string) *StreamRec {
 }
 
 // Collect appends a stream's buffered spans to the global list in emission
-// order and resets the buffer — the sequential event loop calls it after
-// every step (and after a drain), keeping the global list in event order.
+// order and resets the buffer — the event loop calls it after every step
+// (and after a pre-warm or drain), keeping the global list in event order.
 func (r *Recorder) Collect(sr *StreamRec) {
 	for _, sp := range sr.pend {
 		r.add(sp)
@@ -231,31 +224,13 @@ func (r *Recorder) Collect(sr *StreamRec) {
 	sr.pend = sr.pend[:0]
 }
 
-// CollectRange appends pend[lo:hi) without resetting — the region merge
-// collects each logged step's exact span range in global key order and
-// resets the buffers only once the whole merge is applied (a session may
-// step several times within one parallel interval).
-func (r *Recorder) CollectRange(sr *StreamRec, lo, hi int) {
-	for _, sp := range sr.pend[lo:hi] {
-		r.add(sp)
-	}
-}
-
-// StreamRec is one admitted stream's pending span buffer. Exactly one
-// region owns the stream, so emissions need no locking; the fleet collects
-// the buffer into the Recorder's global list at globally-ordered points.
+// StreamRec is one admitted stream's pending span buffer; the fleet collects
+// it into the Recorder's global list at globally-ordered points.
 type StreamRec struct {
 	stream string
 	device string
 	pend   []Span
 }
-
-// PendLen returns the pending span count — the region advance brackets each
-// step's emissions with it.
-func (sr *StreamRec) PendLen() int { return len(sr.pend) }
-
-// ResetPend clears the buffer after a region merge collected every range.
-func (sr *StreamRec) ResetPend() { sr.pend = sr.pend[:0] }
 
 // Exec buffers one execution charge on proc: queued behind earlier work for
 // wait, ran [start, end).

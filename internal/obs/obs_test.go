@@ -255,31 +255,25 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
-// TestCollectRange pins the region-merge primitive: collecting an explicit
-// pend range copies exactly those spans without resetting the buffer, so a
-// later reset-free range pick up where the previous left off.
-func TestCollectRange(t *testing.T) {
+// TestCollectDrainsPendInOrder pins the single span write path: Collect
+// moves a stream's buffered spans into the global list in emission order and
+// empties the buffer, so a later Collect appends only what was emitted since.
+func TestCollectDrainsPendInOrder(t *testing.T) {
 	r := obs.NewRecorder()
 	sr := r.OpenStream("s", "d")
 	sr.Exec("gpu", "m", 0, time.Millisecond, 0, 0)
 	sr.Exec("gpu", "m", time.Millisecond, 2*time.Millisecond, 0, 1)
+	r.Collect(sr)
 	sr.Exec("gpu", "m", 2*time.Millisecond, 3*time.Millisecond, 0, 2)
-	r.CollectRange(sr, 0, 1)
-	r.CollectRange(sr, 1, 3)
-	if sr.PendLen() != 3 {
-		t.Fatalf("CollectRange reset the pend buffer: len %d", sr.PendLen())
-	}
-	sr.ResetPend()
-	if sr.PendLen() != 0 {
-		t.Fatal("ResetPend left spans pending")
-	}
+	r.Collect(sr)
+	r.Collect(sr)
 	spans := r.Spans()
 	if len(spans) != 3 {
-		t.Fatalf("%d spans collected, want 3", len(spans))
+		t.Fatalf("%d spans collected, want 3 (Collect must reset the buffer)", len(spans))
 	}
 	for i, sp := range spans {
 		if sp.Frame != i {
-			t.Fatalf("span %d has frame %d; range collection reordered", i, sp.Frame)
+			t.Fatalf("span %d has frame %d; collection reordered", i, sp.Frame)
 		}
 	}
 }

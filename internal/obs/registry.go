@@ -12,7 +12,7 @@ import (
 // virtual-time histograms, folded from the span stream as it is collected
 // (plus a few direct lifecycle counters the fleet bumps on the sequential
 // global path). Everything is integer arithmetic over virtual durations, so
-// a registry is bit-identical across region counts and host core counts.
+// a registry is bit-identical across reruns and host core counts.
 //
 // fleet.Summary's integer serving counts are re-derivable from these
 // counters; the equivalence is pinned by TestRecorderRederivesSummary in

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -12,7 +13,7 @@ import (
 // dropped while the pipeline was busy.
 type LiveResult struct {
 	// Result holds records for the frames that were actually processed.
-	Result *Result
+	Result *runtime.Result
 	// Delivered is the number of frames the camera produced.
 	Delivered int
 	// Dropped is the number of frames skipped because the pipeline was
@@ -50,14 +51,14 @@ func (s *SHIFT) RunLive(scenario string, frames []scene.Frame, periodSec float64
 	}
 	s.scheduler.Reset()
 	live := &LiveResult{
-		Result:    &Result{Method: s.Name() + " (live)", Scenario: scenario},
+		Result:    &runtime.Result{Method: s.Name() + " (live)", Scenario: scenario},
 		Delivered: len(frames),
 	}
 	cur := s.initial
 
 	// lastBox tracks the most recent detection for stale-consumer scoring.
 	var haveLast bool
-	var lastRec FrameRecord
+	var lastRec runtime.FrameRecord
 	var iouSum float64
 
 	clock := s.sys.SoC.Clock
@@ -76,7 +77,7 @@ func (s *SHIFT) RunLive(scenario string, frames []scene.Frame, periodSec float64
 			continue
 		}
 
-		rec := FrameRecord{Index: frame.Index, Pair: cur}
+		rec := runtime.FrameRecord{Index: frame.Index, Pair: cur}
 		rec.Swapped = i > 0 && cur != prev
 		prev = cur
 
@@ -140,7 +141,7 @@ func (s *SHIFT) RunLive(scenario string, frames []scene.Frame, periodSec float64
 // staleIoU evaluates a past detection's box against a newer frame's ground
 // truth: the overlap a consumer of the stale detection actually gets. Zero
 // when either side has nothing.
-func staleIoU(rec FrameRecord, frame scene.Frame) float64 {
+func staleIoU(rec runtime.FrameRecord, frame scene.Frame) float64 {
 	if !rec.Found || frame.GT.Empty() {
 		return 0
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"repro/internal/confgraph"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/zoo"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestRunLiveDeterministic(t *testing.T) {
 func TestStaleIoU(t *testing.T) {
 	name, frames := shortScenario(t)
 	_ = name
-	rec := FrameRecord{Found: true, IoU: 0.8, Box: frames[0].GT}
+	rec := runtime.FrameRecord{Found: true, IoU: 0.8, Box: frames[0].GT}
 	// Against its own frame the stale score equals a perfect overlap.
 	if got := staleIoU(rec, frames[0]); got != 1 {
 		t.Fatalf("self stale IoU %v", got)
@@ -125,7 +126,7 @@ func TestStaleIoU(t *testing.T) {
 	if got := staleIoU(rec, frames[len(frames)-1]); got != 0 {
 		t.Fatalf("stale IoU vs empty GT %v", got)
 	}
-	if got := staleIoU(FrameRecord{}, frames[0]); got != 0 {
+	if got := staleIoU(runtime.FrameRecord{}, frames[0]); got != 0 {
 		t.Fatalf("miss stale IoU %v", got)
 	}
 }

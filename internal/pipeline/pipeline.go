@@ -25,19 +25,6 @@ import (
 	"repro/internal/zoo"
 )
 
-// FrameRecord, Result and Runner are defined by the serving engine; the
-// aliases keep the historical pipeline-centric names every experiment uses.
-type (
-	// FrameRecord captures everything one processed frame contributes to
-	// the evaluation metrics.
-	FrameRecord = runtime.FrameRecord
-	// Result is one method's run over one scenario.
-	Result = runtime.Result
-	// Runner produces a Result over a rendered scenario. SHIFT and each
-	// baseline (package baseline) implement it.
-	Runner = runtime.Runner
-)
-
 // SHIFT is the full system of the paper: scheduler + dynamic model loader
 // over the simulated platform, run by the shared step engine.
 type SHIFT struct {
@@ -105,7 +92,7 @@ func NewPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgraph.G
 	return pol, nil
 }
 
-// Name implements Runner.
+// Name implements runtime.Runner.
 func (s *SHIFT) Name() string { return s.pol.Name() }
 
 // LoaderStats exposes the DML counters for reporting.
@@ -113,7 +100,7 @@ func (s *SHIFT) LoaderStats() loader.Stats { return s.dml.Stats() }
 
 // Run implements Runner: the continuous detection loop of the paper, driven
 // by the shared engine.
-func (s *SHIFT) Run(scenario string, frames []scene.Frame) (*Result, error) {
+func (s *SHIFT) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
 	s.pol.prefetch = s.PrefetchOnStart
 	return s.eng.Run(scenario, frames)
 }
@@ -244,7 +231,7 @@ func (p *shiftPolicy) Step(st *runtime.Step) error {
 
 // NonGPUFraction returns the fraction of frames executed off the GPU —
 // Table III's "Non-GPU" column.
-func NonGPUFraction(r *Result) float64 {
+func NonGPUFraction(r *runtime.Result) float64 {
 	if len(r.Records) == 0 {
 		return 0
 	}
@@ -260,7 +247,7 @@ func NonGPUFraction(r *Result) float64 {
 // SwapCount returns the number of active-pair changes (Table III "Model
 // Swaps"). The count includes accelerator-only moves: switching YoloV7 from
 // GPU to DLA is a swap even though the architecture is unchanged.
-func SwapCount(r *Result) int {
+func SwapCount(r *runtime.Result) int {
 	n := 0
 	for _, rec := range r.Records {
 		if rec.Swapped {
@@ -274,7 +261,7 @@ func SwapCount(r *Result) int {
 // at least one frame (Table III "Pairs Used"). The set is a short slice with
 // room for the default zoo's 18 engines on the stack, and runs of one pair
 // are looked up once.
-func PairsUsed(r *Result) int {
+func PairsUsed(r *runtime.Result) int {
 	seen := make([]zoo.EngineKey, 0, 32)
 	for i, rec := range r.Records {
 		if i > 0 && rec.Pair == r.Records[i-1].Pair {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/confgraph"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -159,7 +160,7 @@ func TestSHIFTUsesNonGPUAccelerators(t *testing.T) {
 
 func TestSHIFTDeterministic(t *testing.T) {
 	name, frames := shortScenario(t)
-	run := func() *Result {
+	run := func() *runtime.Result {
 		s := freshSHIFT(t, DefaultOptions())
 		res, err := s.Run(name, frames)
 		if err != nil {
@@ -238,10 +239,10 @@ func TestPrefetchReducesMidStreamLoads(t *testing.T) {
 }
 
 func TestHelperMetrics(t *testing.T) {
-	mk := func(kind accel.Kind, model string, swapped bool) FrameRecord {
-		return FrameRecord{Pair: zoo.Pair{Model: model, ProcID: "x", Kind: kind}, Swapped: swapped}
+	mk := func(kind accel.Kind, model string, swapped bool) runtime.FrameRecord {
+		return runtime.FrameRecord{Pair: zoo.Pair{Model: model, ProcID: "x", Kind: kind}, Swapped: swapped}
 	}
-	res := &Result{Records: []FrameRecord{
+	res := &runtime.Result{Records: []runtime.FrameRecord{
 		mk(accel.KindGPU, "a", false),
 		mk(accel.KindDLA, "a", true),
 		mk(accel.KindDLA, "b", true),
@@ -256,7 +257,7 @@ func TestHelperMetrics(t *testing.T) {
 	if got := PairsUsed(res); got != 4 {
 		t.Fatalf("PairsUsed = %v, want 4 (a/GPU, a/DLA, b/DLA, a/OAK-D)", got)
 	}
-	empty := &Result{}
+	empty := &runtime.Result{}
 	if NonGPUFraction(empty) != 0 || SwapCount(empty) != 0 || PairsUsed(empty) != 0 {
 		t.Fatal("empty result metrics should be zero")
 	}
