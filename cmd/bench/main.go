@@ -203,82 +203,50 @@ func main() {
 		}
 	})
 
-	// MultiStream: the full 1–8 stream serving sweep on the shared-platform
-	// event loop (queueing + reference-counted residency).
-	msCfg := experiments.DefaultMultiStreamConfig()
-	run("MultiStream", "sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.MultiStream(env, msCfg); err != nil {
-				b.Fatal(err)
+	// MultiStream and the fleet sweeps at their default grids: the 1–8
+	// stream serving sweep on one device, device count × placement under the
+	// tiered workload, failure rate × placement with checkpoint/migration,
+	// crash rate × placement on a journaled fleet, shape × placement ×
+	// fixed/elastic capacity, and the prefetch contrast cell (the miss-heavy
+	// oscillate workload served with the TAGE swap predictor off, then on).
+	for _, s := range []struct {
+		name, unit string
+		fn         func() error
+	}{
+		{"MultiStream", "sweep", func() error {
+			_, err := experiments.MultiStream(env, experiments.DefaultMultiStreamConfig())
+			return err
+		}},
+		{"FleetSweep", "grid", func() error {
+			_, err := experiments.FleetSweep(env, experiments.FleetSweepConfig{})
+			return err
+		}},
+		{"FaultSweep", "grid", func() error {
+			_, err := experiments.FaultSweep(env, experiments.FaultSweepConfig{})
+			return err
+		}},
+		{"CrashSweep", "grid", func() error {
+			_, err := experiments.CrashSweep(env, experiments.CrashSweepConfig{})
+			return err
+		}},
+		{"AutoscaleSweep", "grid", func() error {
+			_, err := experiments.AutoscaleSweep(env, experiments.AutoscaleSweepConfig{})
+			return err
+		}},
+		{"PrefetchSweep", "cell", func() error {
+			_, err := experiments.PrefetchSweep(env, experiments.PrefetchSweepConfig{})
+			return err
+		}},
+	} {
+		run(s.name, s.unit, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.fn(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-
-	// FleetSweep: the multi-device serving grid (device count × placement
-	// under the tiered workload).
-	fsCfg := experiments.FleetSweepConfig{}
-	run("FleetSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.FleetSweep(env, fsCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// FaultSweep: the fault-tolerance grid (failure rate × placement with
-	// checkpoint/migration).
-	fltCfg := experiments.FaultSweepConfig{}
-	run("FaultSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.FaultSweep(env, fltCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// CrashSweep: the crash-recovery grid (worker-crash rate × placement on
-	// a journaled fleet, kill-and-recover from checkpoint wire bytes).
-	crashCfg := experiments.CrashSweepConfig{}
-	run("CrashSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.CrashSweep(env, crashCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// AutoscaleSweep: the elasticity grid (workload shape × placement ×
-	// fixed/elastic capacity with SLO-driven scale-out and drain-based
-	// scale-in).
-	autoCfg := experiments.AutoscaleSweepConfig{}
-	run("AutoscaleSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.AutoscaleSweep(env, autoCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// PrefetchSweep: the predictive-prefetch contrast cell — the miss-heavy
-	// oscillate workload served twice, TAGE swap predictor off then on, with
-	// the flight recorder attached to both runs.
-	pfCfg := experiments.PrefetchSweepConfig{}
-	var pfRes *experiments.PrefetchSweepResult
-	run("PrefetchSweep", "cell", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := experiments.PrefetchSweep(env, pfCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pfRes = r
-		}
-	})
+		})
+	}
 
 	// ScaleSweep: the fleet-scale grid — a day-long diurnal trace on fleets
 	// up to 1 000 devices / 100 000 streams, measuring the event loop's own
@@ -317,195 +285,9 @@ func main() {
 
 	// Headline simulated metrics: deterministic per seed; a perf-only change
 	// must leave them untouched.
-	t3, err := experiments.TableIII(env, nil)
-	if err != nil {
+	if doc.Headline, err = headline(env); err != nil {
 		fatal(err)
 	}
-	record := func(method, prefix string) {
-		s, ok := t3.Summary(method)
-		if !ok {
-			fatal(fmt.Errorf("missing %s summary", method))
-		}
-		doc.Headline[prefix+"_iou"] = s.AvgIoU
-		doc.Headline[prefix+"_time_s"] = s.AvgTimeSec
-		doc.Headline[prefix+"_energy_j"] = s.AvgEnergyJ
-		doc.Headline[prefix+"_swaps"] = float64(s.Swaps)
-	}
-	record("SHIFT", "shift")
-	record("Marlin", "marlin")
-
-	// Multi-stream serving headline: simulated contention metrics at 1 and 8
-	// concurrent streams. Deterministic per seed, like the Table III block.
-	ms, err := experiments.MultiStream(env, msCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, n := range []int{1, 8} {
-		row, ok := ms.Row(n)
-		if !ok {
-			fatal(fmt.Errorf("missing multi-stream row for %d streams", n))
-		}
-		prefix := fmt.Sprintf("multistream%d", n)
-		doc.Headline[prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[prefix+"_queue_wait_s"] = row.AvgQueueWaitSec
-		doc.Headline[prefix+"_swaps_per_stream"] = row.SwapsPerStream
-	}
-
-	// Fleet serving headline: the multi-device grid's simulated metrics at
-	// the largest fleet, round-robin vs residency-affinity. Deterministic
-	// per seed, like the other headline blocks.
-	fs, err := experiments.FleetSweep(env, fsCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "fleet4_rr"},
-		{"residency-affinity", "fleet4_affinity"},
-	} {
-		row, ok := fs.Row(4, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing fleet row for 4×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[cell.prefix+"_loads"] = float64(row.Loads)
-		doc.Headline[cell.prefix+"_evictions"] = float64(row.Evictions)
-		doc.Headline[cell.prefix+"_utilization"] = row.AvgUtilization
-	}
-
-	// Fault-tolerance headline: recovery metrics at the highest swept failure
-	// rate, residency-affinity placement. Deterministic per seed; the
-	// fault-free rows of the same grid must match fleet4_* exactly when the
-	// configurations coincide, and these keys are additive — existing
-	// headline blocks do not move.
-	flt, err := experiments.FaultSweep(env, fltCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "fault12_rr"},
-		{"residency-affinity", "fault12_affinity"},
-	} {
-		row, ok := flt.Row(12, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing fault row for 12/min×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_migrations"] = float64(row.Migrations)
-		doc.Headline[cell.prefix+"_aborted"] = float64(row.Aborted)
-		doc.Headline[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
-		doc.Headline[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-	}
-
-	// Crash-recovery headline: durability metrics at the highest swept crash
-	// rate. Deterministic per seed; the journal never steers serving
-	// decisions, so these keys are additive — existing headline blocks do
-	// not move.
-	crash, err := experiments.CrashSweep(env, crashCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "crash12_rr"},
-		{"residency-affinity", "crash12_affinity"},
-	} {
-		row, ok := crash.Row(12, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing crash row for 12/min×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_crashes"] = float64(row.Crashes)
-		doc.Headline[cell.prefix+"_replayed_frames"] = float64(row.ReplayedFrames)
-		doc.Headline[cell.prefix+"_shed"] = float64(row.Shed)
-		doc.Headline[cell.prefix+"_journal_writes"] = float64(row.JournalWrites)
-		doc.Headline[cell.prefix+"_journal_bytes"] = float64(row.JournalBytes)
-		doc.Headline[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
-		doc.Headline[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-	}
-
-	// Autoscale headline: the elasticity grid's simulated metrics — the
-	// burst-shape fixed-vs-elastic contrast and the diurnal drain activity,
-	// residency-affinity placement. Deterministic per seed; with the
-	// autoscaler disabled (every other experiment) no existing key moves —
-	// these are additive like the fault block.
-	auto, err := experiments.AutoscaleSweep(env, autoCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		shape, mode, prefix string
-	}{
-		{"burst", "fixed", "auto_burst_fixed4"},
-		{"burst", "elastic", "auto_burst_elastic"},
-		{"diurnal", "fixed", "auto_diurnal_fixed4"},
-		{"diurnal", "elastic", "auto_diurnal_elastic"},
-	} {
-		row, ok := auto.Row(cell.shape, "residency-affinity", cell.mode)
-		if !ok {
-			fatal(fmt.Errorf("missing autoscale row for %s×%s", cell.shape, cell.mode))
-		}
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[cell.prefix+"_queue_wait_s"] = row.AvgQueueDelaySec
-		doc.Headline[cell.prefix+"_peak_devices"] = float64(row.PeakDevices)
-		if cell.mode == "elastic" {
-			doc.Headline[cell.prefix+"_scale_outs"] = float64(row.ScaleOuts)
-			doc.Headline[cell.prefix+"_scale_ins"] = float64(row.ScaleIns)
-			doc.Headline[cell.prefix+"_drained"] = float64(row.Drained)
-			doc.Headline[cell.prefix+"_migrations"] = float64(row.Migrations)
-			doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-		}
-	}
-
-	// Observability headline: the flight-recorder cell's latency attribution
-	// — where frame latency goes overall and over the p99 tail, with the
-	// swap-stall share of p99 as the headline the prefetch roadmap item is
-	// gated on. obs_attached_equals_detached is the zero-perturbation
-	// certificate (1 when the attached and detached runs summarize
-	// bit-identically). Deterministic per seed; these keys are additive —
-	// existing headline blocks do not move.
-	ob, err := experiments.ObsSweep(env, experiments.ObsSweepConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	doc.Headline["obs_frames"] = float64(ob.Attribution.Frames)
-	doc.Headline["obs_spans"] = float64(ob.Spans)
-	doc.Headline["obs_p99_latency_s"] = ob.Attribution.P99Sec
-	doc.Headline["obs_queue_share"] = ob.Attribution.QueueShare
-	doc.Headline["obs_swap_stall_share"] = ob.Attribution.SwapShare
-	doc.Headline["obs_exec_share"] = ob.Attribution.ExecShare
-	doc.Headline["obs_interference_share"] = ob.Attribution.InterferenceShare
-	doc.Headline["obs_queue_share_p99"] = ob.Attribution.QueueShareOfP99
-	doc.Headline["obs_swap_stall_share_p99"] = ob.Attribution.SwapStallShareOfP99
-	doc.Headline["obs_exec_share_p99"] = ob.Attribution.ExecShareOfP99
-	doc.Headline["obs_interference_share_p99"] = ob.Attribution.InterferenceShareOfP99
-	doc.Headline["obs_attached_equals_detached"] = map[bool]float64{true: 1, false: 0}[ob.DetachedEqual]
-
-	// Predictive-prefetch headline: the TAGE swap predictor's SupraX-style
-	// scorecard (coverage / accuracy / timeliness) and the before/after
-	// swap-stall share of the p99 tail on the miss-heavy contrast cell. The
-	// before key is today's serving path bit-for-bit — the off run takes the
-	// identical code path as a build without the predictor — so it moves only
-	// when the serving path itself does. These keys are additive; existing
-	// headline blocks do not move.
-	doc.Headline["prefetch_coverage"] = pfRes.Stats.Coverage()
-	doc.Headline["prefetch_accuracy"] = pfRes.Stats.Accuracy()
-	doc.Headline["prefetch_timeliness"] = pfRes.Stats.Timeliness()
-	doc.Headline["prefetch_issued"] = float64(pfRes.Stats.Issued)
-	doc.Headline["prefetch_full_hits"] = float64(pfRes.Stats.FullHits)
-	doc.Headline["prefetch_late_hits"] = float64(pfRes.Stats.LateHits)
-	doc.Headline["prefetch_stall_saved_s"] = pfRes.Stats.StallSavedSec
-	doc.Headline["prefetch_swap_stall_share_p99_before"] = pfRes.Off.SwapStallShareOfP99
-	doc.Headline["prefetch_swap_stall_share_p99_after"] = pfRes.On.SwapStallShareOfP99
 
 	// Fleet-scale headline: the 1 000-device / 100 000-stream flagship trace.
 	// The serving profile (served, frames, events, horizon, latency, misses)
@@ -553,6 +335,206 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	report(doc)
+}
+
+// headline derives every simulated headline key except the fleet1000_*
+// flagship block: Table III, multi-stream, and the fleet sweeps at their
+// default grids. The keys are deterministic per seed; a perf-only change
+// must leave them untouched.
+func headline(env *experiments.Env) (map[string]float64, error) {
+	h := map[string]float64{}
+	t3, err := experiments.TableIII(env, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range []struct{ method, prefix string }{{"SHIFT", "shift"}, {"Marlin", "marlin"}} {
+		s, ok := t3.Summary(m.method)
+		if !ok {
+			return nil, fmt.Errorf("missing %s summary", m.method)
+		}
+		h[m.prefix+"_iou"] = s.AvgIoU
+		h[m.prefix+"_time_s"] = s.AvgTimeSec
+		h[m.prefix+"_energy_j"] = s.AvgEnergyJ
+		h[m.prefix+"_swaps"] = float64(s.Swaps)
+	}
+
+	// Multi-stream serving headline: simulated contention metrics at 1 and 8
+	// concurrent streams. Deterministic per seed, like the Table III block.
+	ms, err := experiments.MultiStream(env, experiments.DefaultMultiStreamConfig())
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range []int{1, 8} {
+		row, ok := ms.Row(n)
+		if !ok {
+			return nil, fmt.Errorf("missing multi-stream row for %d streams", n)
+		}
+		prefix := fmt.Sprintf("multistream%d", n)
+		h[prefix+"_p99_latency_s"] = row.Latency.P99
+		h[prefix+"_miss_rate"] = row.DeadlineMissRate
+		h[prefix+"_queue_wait_s"] = row.AvgQueueWaitSec
+		h[prefix+"_swaps_per_stream"] = row.SwapsPerStream
+	}
+
+	// Fleet serving headline: the multi-device grid's simulated metrics at
+	// the largest fleet, round-robin vs residency-affinity. Deterministic
+	// per seed, like the other headline blocks.
+	fs, err := experiments.FleetSweep(env, experiments.FleetSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range []struct {
+		placement, prefix string
+	}{
+		{"round-robin", "fleet4_rr"},
+		{"residency-affinity", "fleet4_affinity"},
+	} {
+		row, ok := fs.Row(4, cell.placement)
+		if !ok {
+			return nil, fmt.Errorf("missing fleet row for 4×%s", cell.placement)
+		}
+		h[cell.prefix+"_p99_latency_s"] = row.Latency.P99
+		h[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
+		h[cell.prefix+"_loads"] = float64(row.Loads)
+		h[cell.prefix+"_evictions"] = float64(row.Evictions)
+		h[cell.prefix+"_utilization"] = row.AvgUtilization
+	}
+
+	// Fault-tolerance headline: recovery metrics at the highest swept failure
+	// rate, residency-affinity placement. Deterministic per seed; the
+	// fault-free rows of the same grid must match fleet4_* exactly when the
+	// configurations coincide, and these keys are additive — existing
+	// headline blocks do not move.
+	flt, err := experiments.FaultSweep(env, experiments.FaultSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range []struct {
+		placement, prefix string
+	}{
+		{"round-robin", "fault12_rr"},
+		{"residency-affinity", "fault12_affinity"},
+	} {
+		row, ok := flt.Row(12, cell.placement)
+		if !ok {
+			return nil, fmt.Errorf("missing fault row for 12/min×%s", cell.placement)
+		}
+		h[cell.prefix+"_migrations"] = float64(row.Migrations)
+		h[cell.prefix+"_aborted"] = float64(row.Aborted)
+		h[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
+		h[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
+		h[cell.prefix+"_p99_latency_s"] = row.Latency.P99
+		h[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
+	}
+
+	// Crash-recovery headline: durability metrics at the highest swept crash
+	// rate. Deterministic per seed; the journal never steers serving
+	// decisions, so these keys are additive — existing headline blocks do
+	// not move.
+	crash, err := experiments.CrashSweep(env, experiments.CrashSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range []struct {
+		placement, prefix string
+	}{
+		{"round-robin", "crash12_rr"},
+		{"residency-affinity", "crash12_affinity"},
+	} {
+		row, ok := crash.Row(12, cell.placement)
+		if !ok {
+			return nil, fmt.Errorf("missing crash row for 12/min×%s", cell.placement)
+		}
+		h[cell.prefix+"_crashes"] = float64(row.Crashes)
+		h[cell.prefix+"_replayed_frames"] = float64(row.ReplayedFrames)
+		h[cell.prefix+"_shed"] = float64(row.Shed)
+		h[cell.prefix+"_journal_writes"] = float64(row.JournalWrites)
+		h[cell.prefix+"_journal_bytes"] = float64(row.JournalBytes)
+		h[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
+		h[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
+		h[cell.prefix+"_p99_latency_s"] = row.Latency.P99
+		h[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
+	}
+
+	// Autoscale headline: the elasticity grid's simulated metrics — the
+	// burst-shape fixed-vs-elastic contrast and the diurnal drain activity,
+	// residency-affinity placement. Deterministic per seed; with the
+	// autoscaler disabled (every other experiment) no existing key moves —
+	// these are additive like the fault block.
+	auto, err := experiments.AutoscaleSweep(env, experiments.AutoscaleSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range []struct {
+		shape, mode, prefix string
+	}{
+		{"burst", "fixed", "auto_burst_fixed4"},
+		{"burst", "elastic", "auto_burst_elastic"},
+		{"diurnal", "fixed", "auto_diurnal_fixed4"},
+		{"diurnal", "elastic", "auto_diurnal_elastic"},
+	} {
+		row, ok := auto.Row(cell.shape, "residency-affinity", cell.mode)
+		if !ok {
+			return nil, fmt.Errorf("missing autoscale row for %s×%s", cell.shape, cell.mode)
+		}
+		h[cell.prefix+"_p99_latency_s"] = row.Latency.P99
+		h[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
+		h[cell.prefix+"_queue_wait_s"] = row.AvgQueueDelaySec
+		h[cell.prefix+"_peak_devices"] = float64(row.PeakDevices)
+		if cell.mode == "elastic" {
+			h[cell.prefix+"_scale_outs"] = float64(row.ScaleOuts)
+			h[cell.prefix+"_scale_ins"] = float64(row.ScaleIns)
+			h[cell.prefix+"_drained"] = float64(row.Drained)
+			h[cell.prefix+"_migrations"] = float64(row.Migrations)
+			h[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
+		}
+	}
+
+	// Observability headline: the flight-recorder cell's latency attribution
+	// — where frame latency goes overall and over the p99 tail, with the
+	// swap-stall share of p99 as the headline the prefetch roadmap item is
+	// gated on. obs_attached_equals_detached is the zero-perturbation
+	// certificate (1 when the attached and detached runs summarize
+	// bit-identically). Deterministic per seed; these keys are additive —
+	// existing headline blocks do not move.
+	ob, err := experiments.ObsSweep(env, experiments.ObsSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	h["obs_frames"] = float64(ob.Attribution.Frames)
+	h["obs_spans"] = float64(ob.Spans)
+	h["obs_p99_latency_s"] = ob.Attribution.P99Sec
+	h["obs_queue_share"] = ob.Attribution.QueueShare
+	h["obs_swap_stall_share"] = ob.Attribution.SwapShare
+	h["obs_exec_share"] = ob.Attribution.ExecShare
+	h["obs_interference_share"] = ob.Attribution.InterferenceShare
+	h["obs_queue_share_p99"] = ob.Attribution.QueueShareOfP99
+	h["obs_swap_stall_share_p99"] = ob.Attribution.SwapStallShareOfP99
+	h["obs_exec_share_p99"] = ob.Attribution.ExecShareOfP99
+	h["obs_interference_share_p99"] = ob.Attribution.InterferenceShareOfP99
+	h["obs_attached_equals_detached"] = map[bool]float64{true: 1, false: 0}[ob.DetachedEqual]
+
+	// Predictive-prefetch headline: the TAGE swap predictor's SupraX-style
+	// scorecard (coverage / accuracy / timeliness) and the before/after
+	// swap-stall share of the p99 tail on the miss-heavy contrast cell. The
+	// before key is today's serving path bit-for-bit — the off run takes the
+	// identical code path as a build without the predictor — so it moves only
+	// when the serving path itself does. These keys are additive; existing
+	// headline blocks do not move.
+	pf, err := experiments.PrefetchSweep(env, experiments.PrefetchSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	h["prefetch_coverage"] = pf.Stats.Coverage()
+	h["prefetch_accuracy"] = pf.Stats.Accuracy()
+	h["prefetch_timeliness"] = pf.Stats.Timeliness()
+	h["prefetch_issued"] = float64(pf.Stats.Issued)
+	h["prefetch_full_hits"] = float64(pf.Stats.FullHits)
+	h["prefetch_late_hits"] = float64(pf.Stats.LateHits)
+	h["prefetch_stall_saved_s"] = pf.Stats.StallSavedSec
+	h["prefetch_swap_stall_share_p99_before"] = pf.Off.SwapStallShareOfP99
+	h["prefetch_swap_stall_share_p99_after"] = pf.On.SwapStallShareOfP99
+	return h, nil
 }
 
 // loadBaseline reads an older document's results for speedup computation.

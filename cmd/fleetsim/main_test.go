@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -124,5 +127,67 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	if err := validateWorkersMode(false, false, 0, "", true); err == nil ||
 		!strings.Contains(err.Error(), "-prefetch") {
 		t.Fatalf("-prefetch -workers accepted: %v", err)
+	}
+}
+
+// TestRunServesEveryMode drives run() once per accepted mode on a small
+// workload and checks each prints its report; the -trace file must parse as
+// JSON.
+func TestRunServesEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	small := map[string]bool{"streams": true, "rate": true}
+	for _, c := range []struct {
+		name             string
+		sweep, autoscale bool
+		prefetch         bool
+		faults           float64
+		trace            string
+		want             string
+	}{
+		{name: "single", want: "Fleet serving"},
+		{name: "sweep", sweep: true, want: "Fleet serving"},
+		{name: "faults", faults: 30, want: "Fault tolerance"},
+		{name: "autoscale", autoscale: true, want: "Elastic autoscaling"},
+		{name: "prefetch", prefetch: true, want: "Predictive prefetch"},
+		{name: "trace", trace: tracePath, want: "wrote Chrome trace"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := os.CreateTemp(dir, c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout := os.Stdout
+			os.Stdout = out
+			err = run(2, "1,1.25", "residency-affinity", 3, 1, 0.1, 3, 8, 1300, 1, 120,
+				c.sweep, c.faults, c.autoscale, c.prefetch, c.trace, small)
+			os.Stdout = stdout
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := out.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(got), c.want) {
+				t.Fatalf("output lacks %q:\n%s", c.want, got)
+			}
+		})
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	if len(trace.TraceEvents) == 0 {
+		t.Fatal("trace holds no events")
 	}
 }

@@ -4,13 +4,33 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
+
+// The elasticity grid's fixed shape: the elastic fleet's always-on core
+// (its warm pool tops out above the fixed size so scale-out has headroom to
+// win), a 12× burst of the base rate inside [40 s, 65 s), and a diurnal
+// swing base×(1 + 0.85·sin(2πt/100 s)).
+const (
+	autoscaleBaseDevices = 2
+	burstFactor          = 12
+	burstStart           = 40 * time.Second
+	burstLen             = 25 * time.Second
+	diurnalAmp           = 0.85
+	diurnalPeriod        = 100 * time.Second
+)
+
+// autoscaleController is the elastic cells' controller:
+// fleet.DefaultAutoscaleConfig tightened to a 2 s control loop with
+// ScaleOutStep 2 and an 8-device "auto" warm pool at scale 1.
+func autoscaleController() *fleet.AutoscaleConfig {
+	auto := fleet.DefaultAutoscaleConfig()
+	auto.Interval = 2 * time.Second
+	auto.ScaleOutStep = 2
+	auto.Templates = []fleet.DeviceTemplate{{Prefix: "auto", Scale: 1, Count: 8}}
+	return &auto
+}
 
 // AutoscaleSweepConfig parameterizes the elasticity experiment: workload
 // shape × placement policy, each served twice — by a fixed reference fleet
@@ -23,24 +43,13 @@ type AutoscaleSweepConfig struct {
 	// round-robin and residency-affinity).
 	Placements []string
 	// FixedDevices sizes the fixed reference fleet (default 4 — the
-	// FleetSweep flagship). BaseDevices is the elastic fleet's always-on
-	// core (default 2); its warm pool tops out above the fixed size so
-	// scale-out has headroom to win.
+	// FleetSweep flagship).
 	FixedDevices int
-	BaseDevices  int
 	// Scales cycles per-device accel time scales (default {1, 1.25}).
 	Scales []float64
 	// Workload is the base trace (stream count, camera period, lengths);
 	// its RatePerSec is the *base* rate the shapes modulate.
 	Workload fleet.WorkloadConfig
-	// BurstFactor multiplies the base rate inside [BurstStart,
-	// BurstStart+BurstLen) (defaults 12, 40s, 25s).
-	BurstFactor          float64
-	BurstStart, BurstLen time.Duration
-	// DiurnalAmp and DiurnalPeriod shape the sinusoid: base×(1 +
-	// amp·sin(2πt/period)) (defaults 0.85, 100s).
-	DiurnalAmp    float64
-	DiurnalPeriod time.Duration
 	// Admission gates per-device concurrency; nil means 3 streams/device
 	// with an unbounded queue, so fixed and elastic fleets serve the same
 	// stream population and differ in latency only.
@@ -48,13 +57,6 @@ type AutoscaleSweepConfig struct {
 	// PoolMB sizes each device's SoC engine arena in MB (default 1300, the
 	// memory-tight fleet tier).
 	PoolMB int64
-	// Autoscale is the elastic controller shape. A zero value means the
-	// sweep default: fleet.DefaultAutoscaleConfig tightened to a 2 s
-	// control loop with ScaleOutStep 2 and an 8-device "auto" warm pool at
-	// scale 1 (Templates set alone keep that controller with the given
-	// pool); a partially set config keeps every given field, with
-	// fleet.New filling the documented per-field defaults.
-	Autoscale fleet.AutoscaleConfig
 }
 
 // DefaultAutoscaleSweepConfig returns the standard grid: a 12× burst and an
@@ -66,25 +68,14 @@ func DefaultAutoscaleSweepConfig() AutoscaleSweepConfig {
 	wl := fleet.DefaultWorkloadConfig()
 	wl.Streams = 20
 	wl.RatePerSec = 0.08
-	auto := fleet.DefaultAutoscaleConfig()
-	auto.Interval = 2 * time.Second
-	auto.ScaleOutStep = 2
-	auto.Templates = []fleet.DeviceTemplate{{Prefix: "auto", Scale: 1, Count: 8}}
 	return AutoscaleSweepConfig{
-		Shapes:        []string{"burst", "diurnal"},
-		Placements:    []string{"round-robin", "residency-affinity"},
-		FixedDevices:  4,
-		BaseDevices:   2,
-		Scales:        []float64{1, 1.25},
-		Workload:      wl,
-		BurstFactor:   12,
-		BurstStart:    40 * time.Second,
-		BurstLen:      25 * time.Second,
-		DiurnalAmp:    0.85,
-		DiurnalPeriod: 100 * time.Second,
-		Admission:     &adm,
-		PoolMB:        1300,
-		Autoscale:     auto,
+		Shapes:       []string{"burst", "diurnal"},
+		Placements:   []string{"round-robin", "residency-affinity"},
+		FixedDevices: 4,
+		Scales:       []float64{1, 1.25},
+		Workload:     wl,
+		Admission:    &adm,
+		PoolMB:       1300,
 	}
 }
 
@@ -134,141 +125,43 @@ func AutoscaleSweep(env *Env, cfg AutoscaleSweepConfig) (*AutoscaleSweepResult, 
 	if len(cfg.Placements) == 0 {
 		cfg.Placements = def.Placements
 	}
-	if cfg.FixedDevices == 0 {
-		cfg.FixedDevices = def.FixedDevices
-	}
-	if cfg.BaseDevices == 0 {
-		cfg.BaseDevices = def.BaseDevices
-	}
-	if cfg.FixedDevices < 0 || cfg.BaseDevices < 0 {
-		return nil, fmt.Errorf("experiments: negative autoscale fleet size")
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Workload.RatePerSec <= 0 {
+	base := ObsSweepConfig{Devices: cfg.FixedDevices, Scales: cfg.Scales, Workload: cfg.Workload,
+		Admission: cfg.Admission, PoolMB: cfg.PoolMB}.withDefaults(ObsSweepConfig{
+		Devices: def.FixedDevices, Scales: def.Scales, Workload: def.Workload,
+		Admission: def.Admission, PoolMB: def.PoolMB})
+	if base.Workload.RatePerSec <= 0 {
 		return nil, fmt.Errorf("experiments: autoscale sweep needs a positive base rate, got %v",
-			cfg.Workload.RatePerSec)
+			base.Workload.RatePerSec)
 	}
-	if cfg.BurstFactor == 0 {
-		cfg.BurstFactor = def.BurstFactor
-	}
-	if cfg.BurstFactor < 1 {
-		return nil, fmt.Errorf("experiments: burst factor %v below 1", cfg.BurstFactor)
-	}
-	if cfg.BurstStart == 0 {
-		cfg.BurstStart = def.BurstStart
-	}
-	if cfg.BurstLen == 0 {
-		cfg.BurstLen = def.BurstLen
-	}
-	if cfg.DiurnalAmp == 0 {
-		cfg.DiurnalAmp = def.DiurnalAmp
-	}
-	if cfg.DiurnalAmp < 0 || cfg.DiurnalAmp >= 1 {
-		return nil, fmt.Errorf("experiments: diurnal amplitude %v outside [0, 1)", cfg.DiurnalAmp)
-	}
-	if cfg.DiurnalPeriod == 0 {
-		cfg.DiurnalPeriod = def.DiurnalPeriod
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	if zeroAutoscale(cfg.Autoscale) {
-		tpls := cfg.Autoscale.Templates
-		cfg.Autoscale = def.Autoscale
-		if tpls != nil {
-			cfg.Autoscale.Templates = tpls
-		}
-	}
-
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	rateFor := func(shape string) (fleet.RateFn, float64, error) {
-		base := cfg.Workload.RatePerSec
-		switch shape {
-		case "burst":
-			return fleet.BurstRate(base, cfg.BurstFactor, cfg.BurstStart, cfg.BurstLen),
-				base * cfg.BurstFactor, nil
-		case "diurnal":
-			return fleet.DiurnalRate(base, cfg.DiurnalAmp, cfg.DiurnalPeriod),
-				base * (1 + cfg.DiurnalAmp), nil
-		}
-		return nil, 0, fmt.Errorf("experiments: unknown workload shape %q", shape)
-	}
-	mkDevices := func(k int) []fleet.DeviceConfig {
-		devices := make([]fleet.DeviceConfig, k)
-		for i := range devices {
-			devices[i] = fleet.DeviceConfig{
-				Name:  fmt.Sprintf("edge%02d", i),
-				Scale: cfg.Scales[i%len(cfg.Scales)],
-			}
-		}
-		return devices
-	}
-
-	res := &AutoscaleSweepResult{Workload: cfg.Workload}
+	res := &AutoscaleSweepResult{Workload: base.Workload}
 	for _, shape := range cfg.Shapes {
-		rate, peak, err := rateFor(shape)
-		if err != nil {
-			return nil, err
+		var o cellOpts
+		switch rate := base.Workload.RatePerSec; shape {
+		case "burst":
+			o.rate, o.peak = fleet.BurstRate(rate, burstFactor, burstStart, burstLen), rate*burstFactor
+		case "diurnal":
+			o.rate, o.peak = fleet.DiurnalRate(rate, diurnalAmp, diurnalPeriod), rate*(1+diurnalAmp)
+		default:
+			return nil, fmt.Errorf("experiments: unknown workload shape %q", shape)
 		}
 		for _, pname := range cfg.Placements {
 			for _, mode := range []string{"fixed", "elastic"} {
-				place, err := fleet.PlacementByName(pname)
-				if err != nil {
-					return nil, err
+				cell, o := base, o
+				cell.Placement = pname
+				if mode == "elastic" {
+					cell.Devices = autoscaleBaseDevices
+					o.autoscale = autoscaleController()
 				}
-				fcfg := fleet.Config{
-					Seed:      env.Seed,
-					Placement: place,
-					Admission: *cfg.Admission,
-					NewSystem: newSystem,
-				}
-				if mode == "fixed" {
-					fcfg.Devices = mkDevices(cfg.FixedDevices)
-				} else {
-					fcfg.Devices = mkDevices(cfg.BaseDevices)
-					auto := cfg.Autoscale
-					fcfg.Autoscale = &auto
-				}
-				fl, err := fleet.New(fcfg)
-				if err != nil {
-					return nil, err
-				}
-				// The shaped trace is re-generated per cell so every fleet
-				// sees identical requests with fresh policy state.
-				reqs, err := fleet.GenerateShapedWorkload(cfg.Workload, rate, peak, env.Frames, policy)
-				if err != nil {
-					return nil, err
-				}
-				run, err := fl.Run(reqs)
+				run, err := serveCell(env, cell, o)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: autoscale %s×%s×%s: %w", shape, pname, mode, err)
-				}
-				sum := fleet.Summarize(run)
-				if sum.LeakedRefs != 0 {
-					return nil, fmt.Errorf("experiments: autoscale %s×%s×%s leaked %d residency refs",
-						shape, pname, mode, sum.LeakedRefs)
 				}
 				res.Rows = append(res.Rows, AutoscaleSweepRow{
 					Shape:      shape,
 					Placement:  pname,
 					Mode:       mode,
-					Devices:    len(fcfg.Devices),
-					Summary:    sum,
+					Devices:    cell.Devices,
+					Summary:    fleet.Summarize(run),
 					HorizonSec: run.Horizon.Seconds(),
 					PerDevice:  run.Devices,
 				})
@@ -276,16 +169,6 @@ func AutoscaleSweep(env *Env, cfg AutoscaleSweepConfig) (*AutoscaleSweepResult, 
 		}
 	}
 	return res, nil
-}
-
-// zeroAutoscale reports whether every controller knob is unset (Templates
-// excepted — a templates-only config still means "sweep-default controller,
-// custom pool"). A single set knob keeps the whole user config, so partial
-// tunings are never silently replaced by the sweep defaults.
-func zeroAutoscale(c fleet.AutoscaleConfig) bool {
-	return c.Interval == 0 && c.Window == 0 && c.TargetP99Sec == 0 &&
-		c.QueueHighWater == 0 && c.ScaleOutStep == 0 && c.ScaleInStreams == 0 &&
-		c.ScaleInFactor == 0 && c.IdleTicks == 0 && c.Cooldown == 0 && c.MinDevices == 0
 }
 
 // Report renders the grid as a table plus the device timeline of the first

@@ -115,8 +115,6 @@ func TestAutoscaleSweepValidation(t *testing.T) {
 	bad := []func(*AutoscaleSweepConfig){
 		func(c *AutoscaleSweepConfig) { c.Shapes = []string{"square-wave"} },
 		func(c *AutoscaleSweepConfig) { c.Placements = []string{"nope"} },
-		func(c *AutoscaleSweepConfig) { c.DiurnalAmp = 1.5 },
-		func(c *AutoscaleSweepConfig) { c.BurstFactor = 0.5 },
 		func(c *AutoscaleSweepConfig) { c.FixedDevices = -1 },
 		func(c *AutoscaleSweepConfig) { c.Workload.RatePerSec = -1 },
 	}

@@ -3,18 +3,15 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
 // CrashSweepConfig parameterizes the crash-recovery experiment: worker-crash
 // rate × placement policy under one seeded workload, served with the
-// durability journal on, so every crash is recovered from checkpoint wire
-// bytes rather than live memory.
+// durability journal on (a checkpoint every 10 served frames per stream), so
+// every crash is recovered from checkpoint wire bytes rather than live
+// memory.
 type CrashSweepConfig struct {
 	// RatesPerMin lists the mean fleet-wide crash rates swept (crashes per
 	// minute; 0 is the crash-free reference row). Default 0, 6, 12.
@@ -22,41 +19,30 @@ type CrashSweepConfig struct {
 	// Placements lists the dispatch policies compared at each rate (default
 	// round-robin and residency-affinity).
 	Placements []string
-	// Devices is the fleet size (default 4); Scales cycles per-device accel
-	// time scales (default {1, 1.25}).
-	Devices int
-	Scales  []float64
-	// Workload is the offered stream trace, identical across all grid cells
-	// (default fleet.DefaultWorkloadConfig).
-	Workload fleet.WorkloadConfig
+	// Devices, Workload and Admission shape every cell, identical across
+	// the grid; unset fields default as in DefaultObsSweepConfig, whose
+	// scales and 1300 MB pool every cell uses.
+	Devices   int
+	Workload  fleet.WorkloadConfig
+	Admission *fleet.Admission
 	// BestEffortEvery marks every Nth stream best-effort — sheddable when a
 	// crash displaces more streams than the survivors can absorb, so premium
 	// streams always recover first. Default 4; negative disables.
 	BestEffortEvery int
-	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission.
-	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300).
-	PoolMB int64
-	// Durability shapes the checkpoint journal (default: journal every 10
-	// observed steps).
-	Durability fleet.DurabilityConfig
 	// MeanRestartSec is the mean crashed-process restart time (default 5).
 	MeanRestartSec float64
 }
 
 // DefaultCrashSweepConfig returns the standard grid.
 func DefaultCrashSweepConfig() CrashSweepConfig {
-	adm := fleet.DefaultAdmission()
+	cell := DefaultObsSweepConfig()
 	return CrashSweepConfig{
 		RatesPerMin:     []float64{0, 6, 12},
 		Placements:      []string{"round-robin", "residency-affinity"},
-		Devices:         4,
-		Scales:          []float64{1, 1.25},
-		Workload:        fleet.DefaultWorkloadConfig(),
+		Devices:         cell.Devices,
+		Workload:        cell.Workload,
+		Admission:       cell.Admission,
 		BestEffortEvery: 4,
-		Admission:       &adm,
-		PoolMB:          1300,
 		MeanRestartSec:  5,
 	}
 }
@@ -104,48 +90,15 @@ func CrashSweep(env *Env, cfg CrashSweepConfig) (*CrashSweepResult, error) {
 	if len(cfg.Placements) == 0 {
 		cfg.Placements = def.Placements
 	}
-	if cfg.Devices == 0 {
-		cfg.Devices = def.Devices
-	}
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Devices)
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
 	if cfg.BestEffortEvery == 0 {
 		cfg.BestEffortEvery = def.BestEffortEvery
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
 	}
 	if cfg.MeanRestartSec == 0 {
 		cfg.MeanRestartSec = def.MeanRestartSec
 	}
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	devices := make([]fleet.DeviceConfig, cfg.Devices)
-	names := make([]string, cfg.Devices)
-	for i := range devices {
-		devices[i] = fleet.DeviceConfig{
-			Name:  fmt.Sprintf("edge%02d", i),
-			Scale: cfg.Scales[i%len(cfg.Scales)],
-		}
-		names[i] = devices[i].Name
-	}
-	res := &CrashSweepResult{Workload: cfg.Workload, Devices: cfg.Devices}
+	base := ObsSweepConfig{Devices: cfg.Devices, Workload: cfg.Workload,
+		Admission: cfg.Admission}.withDefaults(DefaultObsSweepConfig())
+	res := &CrashSweepResult{Workload: base.Workload, Devices: base.Devices}
 	for _, rate := range cfg.RatesPerMin {
 		if rate < 0 {
 			return nil, fmt.Errorf("experiments: negative crash rate %v", rate)
@@ -156,65 +109,32 @@ func CrashSweep(env *Env, cfg CrashSweepConfig) (*CrashSweepResult, error) {
 			fcfg := fleet.FaultConfig{
 				Seed:                env.Seed,
 				RatePerSec:          rate / 60,
-				Horizon:             FaultHorizonFor(cfg.Workload),
+				Horizon:             FaultHorizonFor(base.Workload),
 				PCrash:              1,
 				MeanCrashRestartSec: cfg.MeanRestartSec,
 			}
 			var err error
-			faults, err = fleet.GenerateFaults(fcfg, names)
+			faults, err = fleet.GenerateFaults(fcfg, deviceNames(base.Devices))
 			if err != nil {
 				return nil, err
 			}
 		}
 		for _, pname := range cfg.Placements {
-			place, err := fleet.PlacementByName(pname)
-			if err != nil {
-				return nil, err
-			}
-			durable := cfg.Durability
-			fl, err := fleet.New(fleet.Config{
-				Seed:       env.Seed,
-				Devices:    devices,
-				Placement:  place,
-				Admission:  *cfg.Admission,
-				NewSystem:  newSystem,
-				Durability: &durable,
+			cell := base
+			cell.Placement = pname
+			run, err := serveCell(env, cell, cellOpts{
+				faults:          faults,
+				durable:         true,
+				bestEffortEvery: cfg.BestEffortEvery,
 			})
 			if err != nil {
-				return nil, err
-			}
-			reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.BestEffortEvery > 0 {
-				for i := range reqs {
-					if (i+1)%cfg.BestEffortEvery == 0 {
-						reqs[i].BestEffort = true
-					}
-				}
-			}
-			run, err := fl.RunWithFaults(reqs, faults)
-			if err != nil {
 				return nil, fmt.Errorf("experiments: crash sweep %v/min×%s: %w", rate, pname, err)
-			}
-			sum := fleet.Summarize(run)
-			if sum.LeakedRefs != 0 {
-				return nil, fmt.Errorf("experiments: crash sweep %v/min×%s leaked %d residency refs",
-					rate, pname, sum.LeakedRefs)
-			}
-			// The recovery contract: only best-effort streams may be shed.
-			for _, out := range run.Outcomes {
-				if out.Shed && !out.BestEffort {
-					return nil, fmt.Errorf("experiments: crash sweep %v/min×%s shed premium stream %s",
-						rate, pname, out.Name)
-				}
 			}
 			res.Rows = append(res.Rows, CrashSweepRow{
 				RatePerMin: rate,
 				Placement:  pname,
 				Faults:     len(faults),
-				Summary:    sum,
+				Summary:    fleet.Summarize(run),
 				PerDevice:  run.Devices,
 			})
 		}

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
 // FaultSweepConfig parameterizes the fault-tolerance experiment: failure rate
@@ -22,20 +18,16 @@ type FaultSweepConfig struct {
 	// Placements lists the dispatch policies compared at each rate (default
 	// round-robin and residency-affinity).
 	Placements []string
-	// Devices is the fleet size (default 4); Scales cycles per-device accel
-	// time scales (default {1, 1.25}).
-	Devices int
-	Scales  []float64
-	// Workload is the offered stream trace, identical across all grid cells
-	// (default fleet.DefaultWorkloadConfig).
-	Workload fleet.WorkloadConfig
-	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission.
+	// Devices, Scales, Workload, Admission and PoolMB shape every cell,
+	// identical across the grid; unset fields default as in
+	// DefaultObsSweepConfig (the 1300 MB pool is the memory-tight fleet
+	// tier, so migrated streams contend for residency on their new device,
+	// exercising re-acquisition and warm adoption).
+	Devices   int
+	Scales    []float64
+	Workload  fleet.WorkloadConfig
 	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300, the
-	// memory-tight fleet tier — so migrated streams contend for residency on
-	// their new device, exercising re-acquisition and warm adoption).
-	PoolMB int64
+	PoolMB    int64
 	// Fault shapes the schedule (kind mix, outage/brownout lengths); its
 	// Seed and RatePerSec are overridden per cell from the experiment seed
 	// and the swept rate. A zero value means fleet.DefaultFaultConfig; a
@@ -46,15 +38,15 @@ type FaultSweepConfig struct {
 
 // DefaultFaultSweepConfig returns the standard grid.
 func DefaultFaultSweepConfig() FaultSweepConfig {
-	adm := fleet.DefaultAdmission()
+	cell := DefaultObsSweepConfig()
 	return FaultSweepConfig{
 		RatesPerMin: []float64{0, 6, 12},
 		Placements:  []string{"round-robin", "residency-affinity"},
-		Devices:     4,
-		Scales:      []float64{1, 1.25},
-		Workload:    fleet.DefaultWorkloadConfig(),
-		Admission:   &adm,
-		PoolMB:      1300,
+		Devices:     cell.Devices,
+		Scales:      cell.Scales,
+		Workload:    cell.Workload,
+		Admission:   cell.Admission,
+		PoolMB:      cell.PoolMB,
 		Fault:       fleet.DefaultFaultConfig(),
 	}
 }
@@ -102,47 +94,14 @@ func FaultSweep(env *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 	if len(cfg.Placements) == 0 {
 		cfg.Placements = def.Placements
 	}
-	if cfg.Devices == 0 {
-		cfg.Devices = def.Devices
-	}
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Devices)
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
 	if cfg.Fault == (fleet.FaultConfig{}) {
 		cfg.Fault = def.Fault
 	} else if cfg.Fault.Horizon == 0 {
 		cfg.Fault.Horizon = def.Fault.Horizon
 	}
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	devices := make([]fleet.DeviceConfig, cfg.Devices)
-	names := make([]string, cfg.Devices)
-	for i := range devices {
-		devices[i] = fleet.DeviceConfig{
-			Name:  fmt.Sprintf("edge%02d", i),
-			Scale: cfg.Scales[i%len(cfg.Scales)],
-		}
-		names[i] = devices[i].Name
-	}
-	res := &FaultSweepResult{Workload: cfg.Workload, Devices: cfg.Devices}
+	base := ObsSweepConfig{Devices: cfg.Devices, Scales: cfg.Scales, Workload: cfg.Workload,
+		Admission: cfg.Admission, PoolMB: cfg.PoolMB}.withDefaults(DefaultObsSweepConfig())
+	res := &FaultSweepResult{Workload: base.Workload, Devices: base.Devices}
 	for _, rate := range cfg.RatesPerMin {
 		if rate < 0 {
 			return nil, fmt.Errorf("experiments: negative fault rate %v", rate)
@@ -153,46 +112,23 @@ func FaultSweep(env *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
 			fcfg.Seed = env.Seed
 			fcfg.RatePerSec = rate / 60
 			var err error
-			faults, err = fleet.GenerateFaults(fcfg, names)
+			faults, err = fleet.GenerateFaults(fcfg, deviceNames(base.Devices))
 			if err != nil {
 				return nil, err
 			}
 		}
 		for _, pname := range cfg.Placements {
-			place, err := fleet.PlacementByName(pname)
-			if err != nil {
-				return nil, err
-			}
-			fl, err := fleet.New(fleet.Config{
-				Seed:      env.Seed,
-				Devices:   devices,
-				Placement: place,
-				Admission: *cfg.Admission,
-				NewSystem: newSystem,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// The workload is re-generated per cell so every fleet sees
-			// identical requests with fresh policy state.
-			reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-			if err != nil {
-				return nil, err
-			}
-			run, err := fl.RunWithFaults(reqs, faults)
+			cell := base
+			cell.Placement = pname
+			run, err := serveCell(env, cell, cellOpts{faults: faults})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fault sweep %v/min×%s: %w", rate, pname, err)
-			}
-			sum := fleet.Summarize(run)
-			if sum.LeakedRefs != 0 {
-				return nil, fmt.Errorf("experiments: fault sweep %v/min×%s leaked %d residency refs",
-					rate, pname, sum.LeakedRefs)
 			}
 			res.Rows = append(res.Rows, FaultSweepRow{
 				RatePerMin: rate,
 				Placement:  pname,
 				Faults:     len(faults),
-				Summary:    sum,
+				Summary:    fleet.Summarize(run),
 				PerDevice:  run.Devices,
 			})
 		}

@@ -3,60 +3,37 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/rng"
-	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
 // FleetSweepConfig parameterizes the multi-device serving experiment: device
-// count × placement policy under one fixed seeded workload.
+// count × placement policy under one fixed seeded workload. A seeded third
+// of the streams runs the premium tier (see cellOpts.premium).
 type FleetSweepConfig struct {
 	// DeviceCounts lists the fleet sizes to sweep (default 1, 2, 4).
 	DeviceCounts []int
 	// Placements lists the dispatch policies compared at each size (default
 	// all three: round-robin, least-outstanding, residency-affinity).
 	Placements []string
-	// Scales cycles per-device accel time scales, making fleets
-	// heterogeneous (default {1, 1.25}: every second device is 25% slower).
-	Scales []float64
-	// Workload is the offered stream trace, identical across all grid cells
-	// (default fleet.DefaultWorkloadConfig).
-	Workload fleet.WorkloadConfig
-	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission (3 streams/device, 8-slot queue). A pointer so
-	// an explicit zero value (unlimited budget, reject immediately) is
-	// distinguishable from "use the default".
+	// Scales, Workload, Admission and PoolMB shape every cell, identical
+	// across the grid; unset fields default as in DefaultObsSweepConfig.
+	Scales    []float64
+	Workload  fleet.WorkloadConfig
 	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300 — the
-	// memory-tight fleet tier, same arena the eviction ablation uses: big
-	// enough for the largest single engine, too small for two large ones,
-	// so model residency is a scarce resource placement can exploit).
-	PoolMB int64
-	// PremiumFraction is the seeded fraction of streams served under the
-	// accuracy-weighted premium tier (the eviction ablation's knob set,
-	// which pulls the large engines in). Mixing tiers on one memory-tight
-	// device churns the loader; grouping them is what the
-	// residency-affinity placement can exploit. Default 1/3; negative
-	// disables the premium tier.
-	PremiumFraction float64
+	PoolMB    int64
 }
 
 // DefaultFleetSweepConfig returns the standard grid.
 func DefaultFleetSweepConfig() FleetSweepConfig {
-	adm := fleet.DefaultAdmission()
+	cell := DefaultObsSweepConfig()
 	return FleetSweepConfig{
-		DeviceCounts:    []int{1, 2, 4},
-		Placements:      []string{"round-robin", "least-outstanding", "residency-affinity"},
-		Scales:          []float64{1, 1.25},
-		Workload:        fleet.DefaultWorkloadConfig(),
-		Admission:       &adm,
-		PoolMB:          1300,
-		PremiumFraction: 1.0 / 3,
+		DeviceCounts: []int{1, 2, 4},
+		Placements:   []string{"round-robin", "least-outstanding", "residency-affinity"},
+		Scales:       cell.Scales,
+		Workload:     cell.Workload,
+		Admission:    cell.Admission,
+		PoolMB:       cell.PoolMB,
 	}
 }
 
@@ -104,82 +81,14 @@ func FleetSweep(env *Env, cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	if len(cfg.Placements) == 0 {
 		cfg.Placements = def.Placements
 	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	if cfg.PremiumFraction == 0 {
-		cfg.PremiumFraction = def.PremiumFraction
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	premiumOpts := pipeline.DefaultOptions()
-	premiumOpts.Sched.Knobs = sched.Knobs{Accuracy: 3, Energy: 0.2, Latency: 0.2}
-	premium := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, premiumOpts)
-	}
-	res := &FleetSweepResult{Workload: cfg.Workload, Admission: *cfg.Admission}
+	base := ObsSweepConfig{Scales: cfg.Scales, Workload: cfg.Workload, Admission: cfg.Admission,
+		PoolMB: cfg.PoolMB}.withDefaults(DefaultObsSweepConfig())
+	res := &FleetSweepResult{Workload: base.Workload, Admission: *base.Admission}
 	for _, k := range cfg.DeviceCounts {
-		if k <= 0 {
-			return nil, fmt.Errorf("experiments: invalid device count %d", k)
-		}
-		devices := make([]fleet.DeviceConfig, k)
-		for i := range devices {
-			devices[i] = fleet.DeviceConfig{
-				Name:  fmt.Sprintf("edge%02d", i),
-				Scale: cfg.Scales[i%len(cfg.Scales)],
-			}
-		}
 		for _, pname := range cfg.Placements {
-			place, err := fleet.PlacementByName(pname)
-			if err != nil {
-				return nil, err
-			}
-			fl, err := fleet.New(fleet.Config{
-				Seed:      env.Seed,
-				Devices:   devices,
-				Placement: place,
-				Admission: *cfg.Admission,
-				NewSystem: newSystem,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// The workload is re-generated per cell so every fleet sees
-			// identical requests with fresh policy state.
-			reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-			if err != nil {
-				return nil, err
-			}
-			// Seeded tier assignment: premium streams run accuracy-weighted
-			// knobs at a 4 fps camera (their large engines cannot make 10 fps
-			// deadlines on any device) and carry a tier-qualified affinity
-			// key, so placements can (or fail to) group their large-engine
-			// working set.
-			tr := rng.New(cfg.Workload.Seed).Fork("fleet/tiers")
-			for i := range reqs {
-				if tr.Float64() < cfg.PremiumFraction {
-					reqs[i].Scenario = "premium/" + reqs[i].Scenario
-					reqs[i].Policy = premium
-					reqs[i].PeriodSec = cfg.Workload.PeriodSec * 2.5
-					reqs[i].Frames = reqs[i].Frames[:len(reqs[i].Frames)*2/5]
-				}
-			}
-			run, err := fl.Run(reqs)
+			cell := base
+			cell.Devices, cell.Placement = k, pname
+			run, err := serveCell(env, cell, cellOpts{premium: true})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fleet %d×%s: %w", k, pname, err)
 			}

@@ -4,54 +4,51 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/predict"
-	"repro/internal/rng"
-	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
-// ObsSweepConfig parameterizes the flight-recorder experiment: one fleet
-// serving cell (same construction as a FleetSweep cell) run twice — once
-// detached, once with the recorder attached — so the report can both show
-// where frame latency went and certify the recorder changed nothing.
+// ObsSweepConfig is one fleet serving cell's shape. It parameterizes the
+// flight-recorder experiment — the cell run twice, once detached and once
+// with the recorder attached, so the report can both show where frame
+// latency went and certify the recorder changed nothing — and it is the
+// shape every fleet sweep serves its grid cells in (see serveCell).
 type ObsSweepConfig struct {
 	// Devices is the fleet size (default 4).
 	Devices int
 	// Placement is the dispatch policy (default residency-affinity).
 	Placement string
-	// Scales cycles per-device accel time scales (default {1, 1.25}).
+	// Scales cycles per-device accel time scales (default {1, 1.25}: every
+	// second device is 25% slower).
 	Scales []float64
 	// Workload is the offered stream trace (default
 	// fleet.DefaultWorkloadConfig).
 	Workload fleet.WorkloadConfig
 	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission.
+	// fleet.DefaultAdmission (3 streams/device, 8-slot queue). A pointer so
+	// an explicit zero value (unlimited budget, reject immediately) is
+	// distinguishable from "use the default".
 	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300, the
-	// memory-tight tier where swap stalls actually show up in the tail).
+	// PoolMB sizes each device's SoC engine arena in MB (default 1300 — the
+	// memory-tight fleet tier, same arena the eviction ablation uses: big
+	// enough for the largest single engine, too small for two large ones,
+	// so model residency is a scarce resource placement can exploit and
+	// swap stalls show up in the tail).
 	PoolMB int64
-	// PremiumFraction is the seeded premium-tier fraction (default 1/3,
-	// negative disables), identical to FleetSweep's tiering.
-	PremiumFraction float64
 }
 
-// DefaultObsSweepConfig returns the standard recorder cell.
+// DefaultObsSweepConfig returns the standard recorder cell, which is also
+// the default cell shape of FleetSweep, FaultSweep and CrashSweep.
 func DefaultObsSweepConfig() ObsSweepConfig {
 	adm := fleet.DefaultAdmission()
 	return ObsSweepConfig{
-		Devices:         4,
-		Placement:       "residency-affinity",
-		Scales:          []float64{1, 1.25},
-		Workload:        fleet.DefaultWorkloadConfig(),
-		Admission:       &adm,
-		PoolMB:          1300,
-		PremiumFraction: 1.0 / 3,
+		Devices:   4,
+		Placement: "residency-affinity",
+		Scales:    []float64{1, 1.25},
+		Workload:  fleet.DefaultWorkloadConfig(),
+		Admission: &adm,
+		PoolMB:    1300,
 	}
 }
 
@@ -78,31 +75,7 @@ type ObsSweepResult struct {
 // attribution. The two runs must summarize bit-identically — the recorder
 // observes the event loop, it never steers it.
 func ObsSweep(env *Env, cfg ObsSweepConfig) (*ObsSweepResult, error) {
-	def := DefaultObsSweepConfig()
-	if cfg.Devices == 0 {
-		cfg.Devices = def.Devices
-	}
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Devices)
-	}
-	if cfg.Placement == "" {
-		cfg.Placement = def.Placement
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	if cfg.PremiumFraction == 0 {
-		cfg.PremiumFraction = def.PremiumFraction
-	}
+	cfg = cfg.withDefaults(DefaultObsSweepConfig())
 	rec := obs.NewRecorder()
 	attached, err := ObsCell(env, cfg, rec)
 	if err != nil {
@@ -124,68 +97,12 @@ func ObsSweep(env *Env, cfg ObsSweepConfig) (*ObsSweepResult, error) {
 	return res, nil
 }
 
-// ObsCell builds and serves one fleet cell exactly the way FleetSweep does,
-// with rec attached (nil: detached control). Exported so the recorder
-// overhead benchmark can time the two paths separately; cfg must be fully
-// populated (use DefaultObsSweepConfig).
+// ObsCell serves one tiered fleet cell — a FleetSweep grid cell — with rec
+// attached (nil: detached control). Exported so the recorder overhead
+// benchmark can time the two paths separately; cfg must be fully populated
+// (use DefaultObsSweepConfig).
 func ObsCell(env *Env, cfg ObsSweepConfig, rec *obs.Recorder) (*fleet.Result, error) {
-	return obsCell(env, cfg, rec, nil)
-}
-
-// obsCell is ObsCell with an optional swap-prediction config — the shared
-// cell builder behind ObsSweep (pf always nil) and PrefetchSweep (the same
-// cell with the predictor on, so before/after attributions are comparable).
-func obsCell(env *Env, cfg ObsSweepConfig, rec *obs.Recorder, pf *predict.Config) (*fleet.Result, error) {
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	premiumOpts := pipeline.DefaultOptions()
-	premiumOpts.Sched.Knobs = sched.Knobs{Accuracy: 3, Energy: 0.2, Latency: 0.2}
-	premium := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, premiumOpts)
-	}
-	place, err := fleet.PlacementByName(cfg.Placement)
-	if err != nil {
-		return nil, err
-	}
-	devices := make([]fleet.DeviceConfig, cfg.Devices)
-	for i := range devices {
-		devices[i] = fleet.DeviceConfig{
-			Name:  fmt.Sprintf("edge%02d", i),
-			Scale: cfg.Scales[i%len(cfg.Scales)],
-		}
-	}
-	fl, err := fleet.New(fleet.Config{
-		Seed:      env.Seed,
-		Devices:   devices,
-		Placement: place,
-		Admission: *cfg.Admission,
-		NewSystem: newSystem,
-		Recorder:  rec,
-		Prefetch:  pf,
-	})
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-	if err != nil {
-		return nil, err
-	}
-	tr := rng.New(cfg.Workload.Seed).Fork("fleet/tiers")
-	for i := range reqs {
-		if tr.Float64() < cfg.PremiumFraction {
-			reqs[i].Scenario = "premium/" + reqs[i].Scenario
-			reqs[i].Policy = premium
-			reqs[i].PeriodSec = cfg.Workload.PeriodSec * 2.5
-			reqs[i].Frames = reqs[i].Frames[:len(reqs[i].Frames)*2/5]
-		}
-	}
-	return fl.Run(reqs)
+	return serveCell(env, cfg, cellOpts{premium: true, rec: rec})
 }
 
 // WriteChromeTrace exports the attached run's span stream as Chrome

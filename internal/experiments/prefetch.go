@@ -21,11 +21,9 @@ type PrefetchSweepConfig struct {
 	// fields default via DefaultPrefetchSweepConfig: a tighter pool
 	// (1000 MB shared across gpu+dla) and the oscillate scenario, so engine
 	// loads miss periodically and swap stalls own a visible share of the
-	// tail without the tail drowning in queue backlog.
+	// tail without the tail drowning in queue backlog. The on run uses
+	// predict.DefaultConfig.
 	Cell ObsSweepConfig
-	// Prefetch is the predictor configuration for the on run (zero value:
-	// predict.DefaultConfig).
-	Prefetch predict.Config
 }
 
 // DefaultPrefetchSweepConfig returns the standard miss-heavy prefetch cell.
@@ -40,7 +38,7 @@ func DefaultPrefetchSweepConfig() PrefetchSweepConfig {
 	cell.Workload.MinFrames = 240
 	cell.Workload.MaxFrames = 240
 	cell.Workload.Scenarios = []*scene.Scenario{scene.ScenarioOscillate()}
-	return PrefetchSweepConfig{Cell: cell, Prefetch: predict.DefaultConfig()}
+	return PrefetchSweepConfig{Cell: cell}
 }
 
 // PrefetchSweepResult is the prefetch experiment's outcome: the off and on
@@ -74,46 +72,22 @@ type PrefetchSweepResult struct {
 // pre-warms admission targets, so its swap-stall share of the p99 tail is
 // the number the predictor is judged on.
 func PrefetchSweep(env *Env, cfg PrefetchSweepConfig) (*PrefetchSweepResult, error) {
-	def := DefaultPrefetchSweepConfig()
-	if cfg.Cell.Devices == 0 {
-		cfg.Cell.Devices = def.Cell.Devices
-	}
-	if cfg.Cell.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Cell.Devices)
-	}
-	if cfg.Cell.Placement == "" {
-		cfg.Cell.Placement = def.Cell.Placement
-	}
-	if len(cfg.Cell.Scales) == 0 {
-		cfg.Cell.Scales = def.Cell.Scales
-	}
-	if cfg.Cell.Workload.Streams == 0 {
-		cfg.Cell.Workload = def.Cell.Workload
-	}
-	if cfg.Cell.Admission == nil {
-		cfg.Cell.Admission = def.Cell.Admission
-	}
-	if cfg.Cell.PoolMB == 0 {
-		cfg.Cell.PoolMB = def.Cell.PoolMB
-	}
-	if cfg.Cell.PremiumFraction == 0 {
-		cfg.Cell.PremiumFraction = def.Cell.PremiumFraction
-	}
-	pf := cfg.Prefetch
+	cell := cfg.Cell.withDefaults(DefaultPrefetchSweepConfig().Cell)
 	offRec := obs.NewRecorder()
-	offRes, err := obsCell(env, cfg.Cell, offRec, nil)
+	offRes, err := serveCell(env, cell, cellOpts{premium: true, rec: offRec})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prefetch off run: %w", err)
 	}
 	onRec := obs.NewRecorder()
-	onRes, err := obsCell(env, cfg.Cell, onRec, &pf)
+	pf := predict.DefaultConfig()
+	onRes, err := serveCell(env, cell, cellOpts{premium: true, rec: onRec, prefetch: &pf})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: prefetch on run: %w", err)
 	}
 	return &PrefetchSweepResult{
-		Devices:     cfg.Cell.Devices,
-		Placement:   cfg.Cell.Placement,
-		PoolMB:      cfg.Cell.PoolMB,
+		Devices:     cell.Devices,
+		Placement:   cell.Placement,
+		PoolMB:      cell.PoolMB,
 		Off:         offRec.Attribution(),
 		On:          onRec.Attribution(),
 		OffSummary:  fleet.Summarize(offRes),
