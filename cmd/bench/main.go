@@ -1,7 +1,8 @@
-// Command bench executes the reproduction's headline performance benchmarks
-// outside `go test` and records the results as BENCH_<date>.json, so the
-// perf trajectory of the hot paths (tracker NCC, SHIFT frame loop, offline
-// characterization) is tracked commit over commit.
+// Command bench runs the benchmark registry (repro.Benchmarks, the same
+// list behind `go test -bench .` at the repo root) outside `go test` and
+// records the results as BENCH_<date>.json, so the perf trajectory of the
+// paper tables, the fleet sweeps and the hot paths (tracker NCC, SHIFT frame
+// loop, offline characterization) is tracked commit over commit.
 //
 // Usage:
 //
@@ -26,12 +27,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
+	"repro"
 	"repro/internal/experiments"
-	"repro/internal/img"
-	"repro/internal/pipeline"
-	"repro/internal/rng"
-	"repro/internal/scene"
 )
 
 // Result is one benchmark measurement.
@@ -66,6 +63,10 @@ func main() {
 	notes := flag.String("notes", "", "free-form notes recorded in the document")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole benchmark run to this file")
 	flag.Parse()
+	// The registry's bodies log through testing.B, which reads the testing
+	// package's flags; defining them after Parse keeps them off this
+	// command's own flag set.
+	testing.Init()
 
 	stamp := *date
 	if stamp == "" {
@@ -119,11 +120,14 @@ func main() {
 		Notes:      *notes,
 	}
 
-	run := func(name, unit string, fn func(b *testing.B)) {
-		fmt.Fprintf(os.Stderr, "benchmarking %s...\n", name)
-		r := testing.Benchmark(fn)
-		doc.Results[name] = Result{
-			Unit:        unit,
+	for _, bm := range repro.Benchmarks {
+		fmt.Fprintf(os.Stderr, "benchmarking %s...\n", bm.Name)
+		r := testing.Benchmark(bm.Func(env))
+		if r.N == 0 {
+			fatal(fmt.Errorf("benchmark %s failed", bm.Name))
+		}
+		doc.Results[bm.Name] = Result{
+			Unit:        bm.Unit,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -131,170 +135,24 @@ func main() {
 		}
 	}
 
-	// SHIFTFrame: per-frame cost of the full SHIFT loop (load + exec +
-	// detect + decide) — mirrors BenchmarkSHIFTFrame in bench_test.go.
-	sc2 := scene.Scenario2()
-	frames2 := env.Frames(sc2)
-	run("SHIFTFrame", "frame", func(b *testing.B) {
-		shift, err := pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		done := 0
-		for done < b.N {
-			res, err := shift.Run(sc2.Name, frames2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			done += len(res.Records)
-		}
-	})
-
-	// MarlinFrame: per-frame cost of the tracker-heavy Marlin baseline —
-	// dominated by NCCSearch template matching.
-	sc1 := scene.Scenario1()
-	frames1 := env.Frames(sc1)
-	run("MarlinFrame", "frame", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			m, err := baseline.NewMarlin(env.System(), baseline.DefaultMarlinConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := m.Run(sc1.Name, frames1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			done += len(res.Records)
-		}
-	})
-
-	// Characterization: the full offline stage (validation render + zoo
-	// profiling + graph build), fresh seed per iteration to defeat caches —
-	// mirrors BenchmarkCharacterization.
-	run("Characterization", "env", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.NewEnv(uint64(i+1), 300); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// RenderScenario1: scenario synthesis per frame.
-	run("RenderScenario1", "frame", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			done += len(sc1.Render(uint64(done + 1)))
-		}
-	})
-
-	// TableIII: the full six-scenario, six-method main results table.
-	run("TableIII", "table", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.TableIII(env, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// MultiStream and the fleet sweeps at their default grids: the 1–8
-	// stream serving sweep on one device, device count × placement under the
-	// tiered workload, failure rate × placement with checkpoint/migration,
-	// crash rate × placement on a journaled fleet, shape × placement ×
-	// fixed/elastic capacity, and the prefetch contrast cell (the miss-heavy
-	// oscillate workload served with the TAGE swap predictor off, then on).
-	for _, s := range []struct {
-		name, unit string
-		fn         func() error
-	}{
-		{"MultiStream", "sweep", func() error {
-			_, err := experiments.MultiStream(env, experiments.DefaultMultiStreamConfig())
-			return err
-		}},
-		{"FleetSweep", "grid", func() error {
-			_, err := experiments.FleetSweep(env, experiments.FleetSweepConfig{})
-			return err
-		}},
-		{"FaultSweep", "grid", func() error {
-			_, err := experiments.FaultSweep(env, experiments.FaultSweepConfig{})
-			return err
-		}},
-		{"CrashSweep", "grid", func() error {
-			_, err := experiments.CrashSweep(env, experiments.CrashSweepConfig{})
-			return err
-		}},
-		{"AutoscaleSweep", "grid", func() error {
-			_, err := experiments.AutoscaleSweep(env, experiments.AutoscaleSweepConfig{})
-			return err
-		}},
-		{"PrefetchSweep", "cell", func() error {
-			_, err := experiments.PrefetchSweep(env, experiments.PrefetchSweepConfig{})
-			return err
-		}},
-	} {
-		run(s.name, s.unit, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := s.fn(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// ScaleSweep: the fleet-scale grid — a day-long diurnal trace on fleets
-	// up to 1 000 devices / 100 000 streams, measuring the event loop's own
-	// wall-clock throughput. One pass of the whole grid per iteration; the
-	// rows feed the fleet1000_* headline block below.
-	var scaleRes *experiments.ScaleSweepResult
-	run("ScaleSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := experiments.ScaleSweep(env, experiments.ScaleSweepConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			scaleRes = res
-		}
-	})
-
-	// NCC / NCCSearch micro-benchmarks on tracker-scale inputs.
-	r := rng.New(1)
-	imgA := randomImage(r, 72, 72)
-	imgB := randomImage(r, 72, 72)
-	run("NCC72", "call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			img.NCC(imgA, imgB)
-		}
-	})
-	search := randomImage(r, 41, 41)
-	tpl := search.Crop(10, 10, 21, 21)
-	run("NCCSearch41x41t21", "call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			img.NCCSearch(search, tpl)
-		}
-	})
-
 	// Headline simulated metrics: deterministic per seed; a perf-only change
 	// must leave them untouched.
 	if doc.Headline, err = headline(env); err != nil {
 		fatal(err)
 	}
 
-	// Fleet-scale headline: the 1 000-device / 100 000-stream flagship trace.
-	// The serving profile (served, frames, events, horizon, latency, misses)
-	// is simulated and deterministic per seed — a perf-only change must leave
-	// it untouched. fleet1000_events_per_sec is a wall-clock measurement of
-	// the harness itself and drifts run to run; it is recorded for the perf
-	// trajectory, not for bit-identity.
+	// Fleet-scale headline: the 1 000-device / 100 000-stream flagship trace,
+	// from one untimed pass of the full scale grid (the ScaleSweep result
+	// times only the registry's reduced 100-device cell). The serving profile
+	// (served, frames, events, horizon, latency, misses) is simulated and
+	// deterministic per seed — a perf-only change must leave it untouched.
+	// fleet1000_events_per_sec is a wall-clock measurement of the harness
+	// itself and drifts run to run; it is recorded for the perf trajectory,
+	// not for bit-identity.
+	scaleRes, err := experiments.ScaleSweep(env, experiments.ScaleSweepConfig{})
+	if err != nil {
+		fatal(err)
+	}
 	flagship, ok := scaleRes.Row(1000)
 	if !ok {
 		fatal(fmt.Errorf("missing 1000-device scale row"))
@@ -560,21 +418,13 @@ func report(doc *Doc) {
 	sort.Strings(names)
 	for _, name := range names {
 		r := doc.Results[name]
-		line := fmt.Sprintf("%-20s %12.0f ns/%-5s %8d B/op %6d allocs/op",
+		line := fmt.Sprintf("%-26s %12.0f ns/%-10s %8d B/op %6d allocs/op",
 			name, r.NsPerOp, r.Unit, r.BytesPerOp, r.AllocsPerOp)
 		if s, ok := doc.Speedup[name]; ok {
 			line += fmt.Sprintf("   %.2fx vs baseline", s)
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}
-}
-
-func randomImage(r *rng.Stream, w, h int) *img.Image {
-	m := img.New(w, h)
-	for i := range m.Pix {
-		m.Pix[i] = uint8(r.Intn(256))
-	}
-	return m
 }
 
 func fatal(err error) {

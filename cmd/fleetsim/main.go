@@ -83,20 +83,16 @@ func main() {
 		}
 		return
 	}
+	if err := validateWorkersMode(*workers, *killOne, *journalDir, *sweep, *autoscale, *faults, *trace, *prefetch); err != nil {
+		fmt.Fprintln(os.Stderr, "fleetsim:", err)
+		os.Exit(1)
+	}
 	if *workers > 0 {
-		if err := validateWorkersMode(*sweep, *autoscale, *faults, *trace, *prefetch); err != nil {
-			fmt.Fprintln(os.Stderr, "fleetsim:", err)
-			os.Exit(1)
-		}
 		if err := runCoordinator(*workers, *streams, *period, *seed, *killOne, *journalDir); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
 		}
 		return
-	}
-	if *killOne || *journalDir != "" {
-		fmt.Fprintln(os.Stderr, "fleetsim: -kill-one and -journal-dir require -workers")
-		os.Exit(1)
 	}
 
 	if err := run(*devices, *scales, *placement, *streams, *rate, *period,
@@ -106,11 +102,21 @@ func main() {
 	}
 }
 
-// validateWorkersMode rejects flags coordinator mode cannot honor — the
+// validateWorkersMode rejects a negative -workers, the coordinator-only
+// flags without -workers, and the flags coordinator mode cannot honor — the
 // other experiment grids, and -trace: the flight recorder observes the
 // in-process event loop, and worker subprocesses serve out-of-process, so
 // there is nothing to trace.
-func validateWorkersMode(sweep, autoscale bool, faults float64, trace string, prefetch bool) error {
+func validateWorkersMode(workers int, killOne bool, journalDir string, sweep, autoscale bool, faults float64, trace string, prefetch bool) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", workers)
+	}
+	if workers == 0 {
+		if killOne || journalDir != "" {
+			return fmt.Errorf("-kill-one and -journal-dir require -workers")
+		}
+		return nil
+	}
 	if sweep || autoscale || faults > 0 || prefetch {
 		return fmt.Errorf("-workers is mutually exclusive with -sweep, -autoscale, -faults, and -prefetch")
 	}

@@ -88,18 +88,40 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 	}
 	// Coordinator mode serves out-of-process: -trace (and the grid modes)
 	// are refused with a one-line error before any worker spawns.
-	if err := validateWorkersMode(false, false, 0, "", false); err != nil {
+	if err := validateWorkersMode(2, false, "", false, false, 0, "", false); err != nil {
 		t.Fatalf("plain -workers rejected: %v", err)
 	}
-	if err := validateWorkersMode(false, false, 0, "out.json", false); err == nil ||
+	if err := validateWorkersMode(2, false, "", false, false, 0, "out.json", false); err == nil ||
 		!strings.Contains(err.Error(), "-trace") || !strings.Contains(err.Error(), "-workers") {
 		t.Fatalf("-trace -workers accepted: %v", err)
 	} else if strings.ContainsRune(err.Error(), '\n') {
 		t.Fatalf("-trace -workers: multi-line error %q", err)
 	}
-	if err := validateWorkersMode(true, false, 0, "", false); err == nil ||
+	if err := validateWorkersMode(2, false, "", true, false, 0, "", false); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-sweep -workers accepted: %v", err)
+	}
+	// A negative -workers is refused, not silently run in-process, and the
+	// coordinator-only flags need -workers.
+	if err := validateWorkersMode(-1, false, "", false, false, 0, "", false); err == nil ||
+		!strings.Contains(err.Error(), "-workers") {
+		t.Fatalf("-workers -1 accepted: %v", err)
+	}
+	for _, c := range []struct {
+		name       string
+		killOne    bool
+		journalDir string
+	}{
+		{"kill-one", true, ""},
+		{"journal-dir", false, "journal"},
+	} {
+		if err := validateWorkersMode(0, c.killOne, c.journalDir, false, false, 0, "", false); err == nil ||
+			!strings.Contains(err.Error(), "require -workers") {
+			t.Fatalf("-%s without -workers accepted: %v", c.name, err)
+		}
+	}
+	if err := validateWorkersMode(0, false, "", false, false, 0, "", false); err != nil {
+		t.Fatalf("in-process defaults rejected: %v", err)
 	}
 	// -prefetch runs its own two-pass contrast cell: grid modes, -trace and
 	// -workers are all refused with one-line errors.
@@ -124,7 +146,7 @@ func TestValidateRejectsBadFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "-prefetch") || !strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("-trace -prefetch accepted: %v", err)
 	}
-	if err := validateWorkersMode(false, false, 0, "", true); err == nil ||
+	if err := validateWorkersMode(2, false, "", false, false, 0, "", true); err == nil ||
 		!strings.Contains(err.Error(), "-prefetch") {
 		t.Fatalf("-prefetch -workers accepted: %v", err)
 	}

@@ -99,7 +99,9 @@
 //   - examples/: quickstart, dronechase, energybudget, customzoo, livefeed,
 //     edgefarm.
 //
-// Top-level benchmarks in bench_test.go regenerate every table and figure;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results against the paper's numbers.
+// The benchmark registry (Benchmarks, benchmarks.go) regenerates every table
+// and figure and times the hot paths. `go test -run '^$' -bench .` runs it as
+// BenchmarkRepro/<Name>, and cmd/bench runs the same list into
+// BENCH_<date>.json; see DESIGN.md for the experiment index and
+// EXPERIMENTS.md for measured results against the paper's numbers.
 package repro

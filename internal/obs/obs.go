@@ -138,8 +138,8 @@ func (s Span) Dur() time.Duration { return s.End - s.Start }
 // Recorder is the flight recorder: the globally-ordered span list and the
 // registry derived from it. A nil *Recorder is the detached state; every
 // instrumentation site nil-checks before doing any work, so a detached run
-// pays one predictable branch per hook (benchmarked by
-// BenchmarkRecorderOverhead).
+// pays one predictable branch per hook (benchmarked by the
+// RecorderOverhead entries of repro.Benchmarks).
 type Recorder struct {
 	spans []Span
 	reg   Registry

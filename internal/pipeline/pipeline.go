@@ -34,10 +34,6 @@ type SHIFT struct {
 	initial   zoo.Pair
 	pol       *shiftPolicy
 	eng       *runtime.Engine
-	// PrefetchOnStart optionally fills free memory with the smallest
-	// engines before the stream starts (the DML's occupy-all-memory
-	// strategy); costs are charged up front.
-	PrefetchOnStart bool
 }
 
 // Options assembles a SHIFT runtime.
@@ -48,7 +44,10 @@ type Options struct {
 	// deployment default: the strongest model on the GPU).
 	InitialModel string
 	InitialProc  string
-	Prefetch     bool
+	// Prefetch fills free memory with the smallest engines before each
+	// stream starts (the DML's occupy-all-memory strategy); costs are
+	// charged up front.
+	Prefetch bool
 }
 
 // DefaultOptions mirrors the paper's Table III configuration.
@@ -69,13 +68,12 @@ func NewSHIFT(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Gr
 	}
 	dml := loader.New(sys, opts.Eviction)
 	return &SHIFT{
-		sys:             sys,
-		scheduler:       pol.scheduler,
-		dml:             dml,
-		initial:         pol.initial,
-		pol:             pol,
-		eng:             runtime.NewEngine(sys, dml, pol),
-		PrefetchOnStart: opts.Prefetch,
+		sys:       sys,
+		scheduler: pol.scheduler,
+		dml:       dml,
+		initial:   pol.initial,
+		pol:       pol,
+		eng:       runtime.NewEngine(sys, dml, pol),
 	}, nil
 }
 
@@ -88,7 +86,6 @@ func NewPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgraph.G
 	if err != nil {
 		return nil, err
 	}
-	pol.prefetch = opts.Prefetch
 	return pol, nil
 }
 
@@ -101,7 +98,6 @@ func (s *SHIFT) LoaderStats() loader.Stats { return s.dml.Stats() }
 // Run implements Runner: the continuous detection loop of the paper, driven
 // by the shared engine.
 func (s *SHIFT) Run(scenario string, frames []scene.Frame) (*runtime.Result, error) {
-	s.pol.prefetch = s.PrefetchOnStart
 	return s.eng.Run(scenario, frames)
 }
 
@@ -141,7 +137,7 @@ func newShiftPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgr
 				opts.InitialModel, opts.InitialProc)
 		}
 	}
-	return &shiftPolicy{scheduler: sc, initial: initial}, nil
+	return &shiftPolicy{scheduler: sc, initial: initial, prefetch: opts.Prefetch}, nil
 }
 
 // Name implements runtime.Policy.
