@@ -35,7 +35,7 @@ func env(b *testing.B) *experiments.Env {
 // BenchmarkRepro runs the benchmark registry, one sub-benchmark per entry.
 func BenchmarkRepro(b *testing.B) {
 	e := env(b)
-	for _, bm := range Benchmarks {
-		b.Run(bm.Name, bm.Func(e))
+	for _, bm := range benchmarks {
+		b.Run(bm.Name, func(b *testing.B) { bm.Run(b, e) })
 	}
 }

@@ -1,11 +1,10 @@
 // The benchmark registry: every benchmark of the reproduction, defined once.
-// Two front-ends range over Benchmarks — BenchmarkRepro in bench_test.go
-// (`go test -bench .`) and cmd/bench (the BENCH_<date>.json document) — so
-// neither holds a benchmark body of its own. The table and figure entries
-// regenerate the corresponding result of the paper's evaluation (DESIGN.md §5)
-// and log its headline numbers; the ablation entries are DESIGN.md §7's.
-// Wall-clock time measures the harness, while the logged values are simulated
-// seconds and Joules comparable to the paper's columns.
+// BenchmarkRepro in bench_test.go (`go test -bench .`) runs each entry as a
+// sub-benchmark. The table and figure entries regenerate the corresponding
+// result of the paper's evaluation (DESIGN.md §5) and log its headline
+// numbers; the ablation entries are DESIGN.md §7's. Wall-clock time measures
+// the harness, while the logged values are simulated seconds and Joules
+// comparable to the paper's columns.
 
 package repro
 
@@ -26,25 +25,17 @@ import (
 	"repro/internal/sched"
 )
 
-// Benchmark is one registry entry: a named body over the shared
-// characterization/graph environment. Unit names what one op is (e.g.
-// "frame", "env", "call", "grid").
-type Benchmark struct {
+// benchmark is one registry entry: a named body over the shared
+// characterization/graph environment.
+type benchmark struct {
 	Name string
-	Unit string
 	Run  func(b *testing.B, e *experiments.Env)
 }
 
-// Func binds the entry to an environment, for testing.B.Run and
-// testing.Benchmark.
-func (bm Benchmark) Func(e *experiments.Env) func(*testing.B) {
-	return func(b *testing.B) { bm.Run(b, e) }
-}
-
-// Benchmarks is the registry, in run order.
-var Benchmarks = []Benchmark{
+// benchmarks is the registry, in run order.
+var benchmarks = []benchmark{
 	// Table I: single-model statistics on CPU, GPU and DLA.
-	{"TableI", "table", func(b *testing.B, e *experiments.Env) {
+	{"TableI", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.TableI(e, 300, 300)
 			if err != nil {
@@ -59,7 +50,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// Table III: the main results table over the full six-scenario
 	// evaluation suite.
-	{"TableIII", "table", func(b *testing.B, e *experiments.Env) {
+	{"TableIII", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.TableIII(e, nil)
 			if err != nil {
@@ -76,7 +67,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// Table IV: the full characterization table.
-	{"TableIV", "table", func(b *testing.B, e *experiments.Env) {
+	{"TableIV", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.TableIV(e, 300)
 			if err != nil {
@@ -92,7 +83,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// Figure 1: the e-a-l comparison of single-family scaling vs the
 	// multi-model zoo.
-	{"Figure1", "figure", func(b *testing.B, e *experiments.Env) {
+	{"Figure1", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.Figure1(e); err != nil {
 				b.Fatal(err)
@@ -100,7 +91,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// Figure 2: the single-model efficiency timelines.
-	{"Figure2", "figure", func(b *testing.B, e *experiments.Env) {
+	{"Figure2", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.Figure2(e, nil); err != nil {
 				b.Fatal(err)
@@ -108,7 +99,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// Figure 3: the scenario-1 SHIFT timeline.
-	{"Figure3", "figure", func(b *testing.B, e *experiments.Env) {
+	{"Figure3", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.Figure3(e)
 			if err != nil {
@@ -121,7 +112,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// Figure 4: the scenario-2 SHIFT timeline.
-	{"Figure4", "figure", func(b *testing.B, e *experiments.Env) {
+	{"Figure4", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.Figure4(e); err != nil {
 				b.Fatal(err)
@@ -130,7 +121,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// Figure 5: the sensitivity sweep on the quick grid (the full
 	// 1,920-configuration grid is cmd/sweep -full).
-	{"Figure5", "figure", func(b *testing.B, e *experiments.Env) {
+	{"Figure5", func(b *testing.B, e *experiments.Env) {
 		cfg := experiments.QuickSweepConfig()
 		cfg.Scenarios = []*scene.Scenario{scene.Scenario2()}
 		for i := 0; i < b.N; i++ {
@@ -147,7 +138,7 @@ var Benchmarks = []Benchmark{
 	// AblationGraphDepth compares the full confidence graph against a
 	// distance-threshold-0 graph (per-model lookups only, no cross-model
 	// edges).
-	{"AblationGraphDepth", "ablation", func(b *testing.B, e *experiments.Env) {
+	{"AblationGraphDepth", func(b *testing.B, e *experiments.Env) {
 		opts := confgraph.DefaultOptions()
 		opts.DistanceThreshold = 0
 		flat, err := confgraph.Build(e.Ch, opts)
@@ -167,7 +158,7 @@ var Benchmarks = []Benchmark{
 	// AblationNoNCC disables the NCC keep-gate so the decision path runs
 	// every frame; the gate's scheduling savings and stability show up as
 	// the delta in swaps and time.
-	{"AblationNoNCC", "ablation", func(b *testing.B, e *experiments.Env) {
+	{"AblationNoNCC", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			gated, _ := runSHIFTWith(b, e, nil, nil)
 			ungated, _ := runSHIFTWith(b, e, func(o *pipeline.Options) { o.Sched.DisableGate = true }, nil)
@@ -182,7 +173,7 @@ var Benchmarks = []Benchmark{
 	// scheduling is stable, so the comparison runs under a tightened pool
 	// and an accuracy-heavy configuration that pulls large engines in and
 	// out.
-	{"AblationEviction", "ablation", func(b *testing.B, e *experiments.Env) {
+	{"AblationEviction", func(b *testing.B, e *experiments.Env) {
 		policies := []loader.EvictionPolicy{loader.EvictLRR, loader.EvictFIFO, loader.EvictLargest}
 		for i := 0; i < b.N; i++ {
 			for _, p := range policies {
@@ -214,7 +205,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// AblationMomentum varies the prediction-averaging window.
-	{"AblationMomentum", "ablation", func(b *testing.B, e *experiments.Env) {
+	{"AblationMomentum", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			for _, m := range []int{1, 30, 120} {
 				mom := m
@@ -227,7 +218,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// SkipComparison runs the frame-skipping iso-energy comparison (the
 	// quantified form of the paper's "no tracking, no skipping" claim).
-	{"SkipComparison", "comparison", func(b *testing.B, e *experiments.Env) {
+	{"SkipComparison", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.SkipComparison(e, []*scene.Scenario{scene.Scenario2()}, nil)
 			if err != nil {
@@ -243,7 +234,7 @@ var Benchmarks = []Benchmark{
 	// AblationOracleLoads quantifies the paper's free-switching assumption:
 	// the same Oracle-A decision sequence with and without real engine
 	// loads.
-	{"AblationOracleLoads", "ablation", func(b *testing.B, e *experiments.Env) {
+	{"AblationOracleLoads", func(b *testing.B, e *experiments.Env) {
 		sc := scene.Scenario2()
 		frames := e.Frames(sc)
 		b.ResetTimer()
@@ -273,7 +264,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// GraphQuality runs the confidence-graph data-efficiency curve.
-	{"GraphQuality", "curve", func(b *testing.B, _ *experiments.Env) {
+	{"GraphQuality", func(b *testing.B, _ *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.GraphQuality(1, []int{100, 400}, 200)
 			if err != nil {
@@ -289,7 +280,7 @@ var Benchmarks = []Benchmark{
 	// MultiStream runs the multi-stream serving sweep (1–8 SHIFT streams
 	// sharing one platform) and logs the contention headline: tail latency
 	// and deadline misses at the top concurrency.
-	{"MultiStream", "sweep", func(b *testing.B, e *experiments.Env) {
+	{"MultiStream", func(b *testing.B, e *experiments.Env) {
 		cfg := experiments.DefaultMultiStreamConfig()
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.MultiStream(e, cfg)
@@ -309,7 +300,7 @@ var Benchmarks = []Benchmark{
 	// placement policy under the default tiered workload) and logs the fleet
 	// headline: residency-affinity vs round-robin tail latency and loader
 	// traffic at the largest fleet.
-	{"FleetSweep", "grid", func(b *testing.B, e *experiments.Env) {
+	{"FleetSweep", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.FleetSweep(e, experiments.FleetSweepConfig{})
 			if err != nil {
@@ -327,7 +318,7 @@ var Benchmarks = []Benchmark{
 	// FaultSweep runs the fault-tolerance grid (failure rate × placement
 	// with checkpoint/migration) and logs the recovery headline at the
 	// highest failure rate.
-	{"FaultSweep", "grid", func(b *testing.B, e *experiments.Env) {
+	{"FaultSweep", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.FaultSweep(e, experiments.FaultSweepConfig{})
 			if err != nil {
@@ -346,7 +337,7 @@ var Benchmarks = []Benchmark{
 	// on a journaled fleet) and logs the durability headline at the highest
 	// crash rate: crashes absorbed, frames replayed from checkpoint wire
 	// bytes, best-effort streams shed, and journal traffic.
-	{"CrashSweep", "grid", func(b *testing.B, e *experiments.Env) {
+	{"CrashSweep", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.CrashSweep(e, experiments.CrashSweepConfig{})
 			if err != nil {
@@ -366,7 +357,7 @@ var Benchmarks = []Benchmark{
 	// fixed/elastic capacity) and logs the autoscale headline: the
 	// burst-shape p99 of the fixed 4-device reference against the elastic
 	// fleet, and the diurnal drain activity.
-	{"AutoscaleSweep", "grid", func(b *testing.B, e *experiments.Env) {
+	{"AutoscaleSweep", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.AutoscaleSweep(e, experiments.AutoscaleSweepConfig{})
 			if err != nil {
@@ -385,10 +376,10 @@ var Benchmarks = []Benchmark{
 	}},
 	// ScaleSweep runs one reduced fleet-scale cell — a 100-device fleet
 	// serving 5 000 streams over a compressed diurnal half hour — and logs
-	// the event-loop headline: events/sec. cmd/bench runs the full
-	// 1 000-device / 100 000-stream grid once, untimed, for its fleet1000_*
-	// headline keys.
-	{"ScaleSweep", "grid", func(b *testing.B, e *experiments.Env) {
+	// the events it took and the streams it served; ns/op is the event
+	// loop's time. cmd/bench derives the fleet1000_* headline keys from the
+	// full 1 000-device / 100 000-stream grid.
+	{"ScaleSweep", func(b *testing.B, e *experiments.Env) {
 		cfg := experiments.ScaleSweepConfig{
 			Cells:   []experiments.ScaleSweepCell{{Devices: 100, Streams: 5000}},
 			SpanSec: 1800,
@@ -400,8 +391,8 @@ var Benchmarks = []Benchmark{
 			}
 			if i == 0 {
 				row := res.Rows[0]
-				b.Logf("scale @100 devices: %.0f ev/s, %d events, served %d/%d",
-					row.EventsPerSec, row.Events, row.Served, row.Served+row.Rejected)
+				b.Logf("scale @100 devices: %d events, served %d/%d",
+					row.Events, row.Served, row.Served+row.Rejected)
 			}
 		}
 	}},
@@ -409,7 +400,7 @@ var Benchmarks = []Benchmark{
 	// miss-heavy oscillate workload served twice, TAGE swap predictor off
 	// then on — and logs the headline: the SupraX-style scorecard and the
 	// before/after swap-stall share of the p99 tail.
-	{"PrefetchSweep", "cell", func(b *testing.B, e *experiments.Env) {
+	{"PrefetchSweep", func(b *testing.B, e *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			res, err := experiments.PrefetchSweep(e, experiments.PrefetchSweepConfig{})
 			if err != nil {
@@ -430,7 +421,7 @@ var Benchmarks = []Benchmark{
 	// whole observability tax. Each half runs one untimed warm-up first, so
 	// neither times the frame cache. The first attached iteration logs the
 	// headline attribution.
-	{"RecorderOverhead/detached", "cell", func(b *testing.B, e *experiments.Env) {
+	{"RecorderOverhead/detached", func(b *testing.B, e *experiments.Env) {
 		cfg := warmObsCell(b, e)
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.ObsCell(e, cfg, nil); err != nil {
@@ -438,7 +429,7 @@ var Benchmarks = []Benchmark{
 			}
 		}
 	}},
-	{"RecorderOverhead/attached", "cell", func(b *testing.B, e *experiments.Env) {
+	{"RecorderOverhead/attached", func(b *testing.B, e *experiments.Env) {
 		cfg := warmObsCell(b, e)
 		for i := 0; i < b.N; i++ {
 			rec := obs.NewRecorder()
@@ -455,7 +446,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// SHIFTFrame measures the per-frame cost of the full SHIFT loop (load +
 	// exec + detect + decide) on the harness itself.
-	{"SHIFTFrame", "frame", func(b *testing.B, e *experiments.Env) {
+	{"SHIFTFrame", func(b *testing.B, e *experiments.Env) {
 		sc := scene.Scenario2()
 		frames := e.Frames(sc)
 		shift, err := pipeline.NewSHIFT(e.System(), e.Ch, e.Graph, pipeline.DefaultOptions())
@@ -475,7 +466,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// MarlinFrame: per-frame cost of the tracker-heavy Marlin baseline —
 	// dominated by NCCSearch template matching.
-	{"MarlinFrame", "frame", func(b *testing.B, e *experiments.Env) {
+	{"MarlinFrame", func(b *testing.B, e *experiments.Env) {
 		sc1 := scene.Scenario1()
 		frames1 := e.Frames(sc1)
 		b.ResetTimer()
@@ -496,7 +487,7 @@ var Benchmarks = []Benchmark{
 	// Characterization measures the offline stage end to end (validation
 	// render + zoo profiling + graph build), fresh seed per iteration to
 	// defeat caches.
-	{"Characterization", "env", func(b *testing.B, _ *experiments.Env) {
+	{"Characterization", func(b *testing.B, _ *experiments.Env) {
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.NewEnv(uint64(i+1), 300); err != nil {
 				b.Fatal(err)
@@ -504,7 +495,7 @@ var Benchmarks = []Benchmark{
 		}
 	}},
 	// RenderScenario1: scenario synthesis per frame.
-	{"RenderScenario1", "frame", func(b *testing.B, _ *experiments.Env) {
+	{"RenderScenario1", func(b *testing.B, _ *experiments.Env) {
 		sc1 := scene.Scenario1()
 		b.ReportAllocs()
 		done := 0
@@ -514,7 +505,7 @@ var Benchmarks = []Benchmark{
 	}},
 	// NCC72 and NCCSearch41x41t21: NCC / NCCSearch micro-benchmarks on
 	// tracker-scale inputs.
-	{"NCC72", "call", func(b *testing.B, _ *experiments.Env) {
+	{"NCC72", func(b *testing.B, _ *experiments.Env) {
 		imgA, imgB, _ := nccInputs()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -522,7 +513,7 @@ var Benchmarks = []Benchmark{
 			img.NCC(imgA, imgB)
 		}
 	}},
-	{"NCCSearch41x41t21", "call", func(b *testing.B, _ *experiments.Env) {
+	{"NCCSearch41x41t21", func(b *testing.B, _ *experiments.Env) {
 		_, _, search := nccInputs()
 		tpl := search.Crop(10, 10, 21, 21)
 		b.ReportAllocs()

@@ -1,72 +1,69 @@
-// Command bench runs the benchmark registry (repro.Benchmarks, the same
-// list behind `go test -bench .` at the repo root) outside `go test` and
-// records the results as BENCH_<date>.json, so the perf trajectory of the
-// paper tables, the fleet sweeps and the hot paths (tracker NCC, SHIFT frame
-// loop, offline characterization) is tracked commit over commit.
+// Command bench derives the reproduction's simulated headline — Table III,
+// multi-stream, the fleet, fault, crash, autoscale, obs and prefetch sweeps,
+// and the 1 000-device flagship fleet — and either writes it as
+// BENCH_<date>.json or checks a committed document against it bit for bit.
+// Every key is simulated (virtual seconds, Joules, counts) and deterministic
+// per seed, so a change that leaves the simulation alone must leave every
+// key unchanged. Nothing here is timed: shiftbench is the one timing harness.
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out BENCH_2026-07-28.json] [-date 2026-07-28] [-baseline BENCH_old.json] [-cpuprofile bench.pprof]
+//	go run ./cmd/bench [-out BENCH_2026-10-17.json] [-date 2026-10-17]
+//	go run ./cmd/bench -check BENCH_2026-10-17.json
 //
-// With -baseline, per-benchmark speedups against the older file are computed
-// and embedded. With -date, the document's date stamp (and the default -out
-// filename derived from it) is pinned instead of read from the wall clock,
-// so CI can produce byte-stable artifact names. Wall-clock results measure the harness itself; the headline
-// block records simulated metrics (virtual seconds and Joules), which are
-// deterministic per seed and must not drift when only performance changes.
+// -check re-derives every key, compares each with the document's by
+// math.Float64bits, names every missing, extra or drifting key, and exits 1
+// if there is any. With -date, the document's date stamp (and the default
+// -out filename derived from it) is pinned instead of read from the wall
+// clock, so the artifact name is reproducible.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/experiments"
 )
 
-// Result is one benchmark measurement.
-type Result struct {
-	// Unit names what one op is (e.g. "frame", "env", "call").
-	Unit        string  `json:"unit"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Iterations  int     `json:"iterations"`
-}
-
-// Doc is the serialized benchmark document.
+// Doc is the serialized headline document.
 type Doc struct {
-	Schema     string             `json:"schema"`
-	Date       string             `json:"date"`
-	GoVersion  string             `json:"go_version"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Results    map[string]Result  `json:"results"`
-	Headline   map[string]float64 `json:"headline"`
-	// Baseline and Speedup are present when -baseline is given: the older
-	// run's results and current-vs-baseline wall-clock ratios.
-	Baseline map[string]Result  `json:"baseline,omitempty"`
-	Speedup  map[string]float64 `json:"speedup,omitempty"`
-	Notes    string             `json:"notes,omitempty"`
+	Schema   string             `json:"schema"`
+	Date     string             `json:"date"`
+	Headline map[string]float64 `json:"headline"`
 }
 
 func main() {
 	out := flag.String("out", "", "output JSON path (default BENCH_<date>.json)")
-	date := flag.String("date", "", "date stamp (YYYY-MM-DD) for the default -out filename and the Date field; empty means today, which drifts — pass a fixed date for reproducible artifacts in CI")
-	basePath := flag.String("baseline", "", "optional older BENCH_*.json to compute speedups against")
-	notes := flag.String("notes", "", "free-form notes recorded in the document")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole benchmark run to this file")
+	date := flag.String("date", "", "date stamp (YYYY-MM-DD) for the default -out filename and the Date field; empty means today, which drifts — pass a fixed date for reproducible artifacts")
+	check := flag.String("check", "", "committed BENCH_*.json to re-derive and compare bit for bit instead of writing a document; exits 1 on any missing, extra or drifting key")
 	flag.Parse()
-	// The registry's bodies log through testing.B, which reads the testing
-	// package's flags; defining them after Parse keeps them off this
-	// command's own flag set.
-	testing.Init()
+
+	if *check != "" {
+		if *out != "" || *date != "" {
+			fatal(fmt.Errorf("-check is exclusive with -out and -date"))
+		}
+		want, err := readHeadline(*check)
+		if err != nil {
+			fatal(err)
+		}
+		got, err := derive()
+		if err != nil {
+			fatal(err)
+		}
+		if diffs := diffHeadline(want, got); len(diffs) > 0 {
+			for _, d := range diffs {
+				fmt.Fprintln(os.Stderr, d)
+			}
+			fatal(fmt.Errorf("%s: %d of %d headline keys differ", *check, len(diffs), len(want)))
+		}
+		fmt.Fprintf(os.Stderr, "%s: all %d headline keys match\n", *check, len(want))
+		return
+	}
 
 	stamp := *date
 	if stamp == "" {
@@ -77,113 +74,11 @@ func main() {
 	if *out == "" {
 		*out = fmt.Sprintf("BENCH_%s.json", stamp)
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote CPU profile %s\n", *cpuprofile)
-		}()
-	}
-
-	// Load the baseline before spending a minute on benchmarks, so a bad
-	// path fails immediately.
-	var baseDoc map[string]Result
-	if *basePath != "" {
-		var err error
-		if baseDoc, err = loadBaseline(*basePath); err != nil {
-			fatal(err)
-		}
-	}
-
-	env, err := experiments.NewEnv(1, experiments.DefaultValidationFrames)
+	h, err := derive()
 	if err != nil {
 		fatal(err)
 	}
-
-	doc := &Doc{
-		Schema:     "repro-bench/v1",
-		Date:       stamp,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    map[string]Result{},
-		Headline:   map[string]float64{},
-		Notes:      *notes,
-	}
-
-	for _, bm := range repro.Benchmarks {
-		fmt.Fprintf(os.Stderr, "benchmarking %s...\n", bm.Name)
-		r := testing.Benchmark(bm.Func(env))
-		if r.N == 0 {
-			fatal(fmt.Errorf("benchmark %s failed", bm.Name))
-		}
-		doc.Results[bm.Name] = Result{
-			Unit:        bm.Unit,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		}
-	}
-
-	// Headline simulated metrics: deterministic per seed; a perf-only change
-	// must leave them untouched.
-	if doc.Headline, err = headline(env); err != nil {
-		fatal(err)
-	}
-
-	// Fleet-scale headline: the 1 000-device / 100 000-stream flagship trace,
-	// from one untimed pass of the full scale grid (the ScaleSweep result
-	// times only the registry's reduced 100-device cell). The serving profile
-	// (served, frames, events, horizon, latency, misses) is simulated and
-	// deterministic per seed — a perf-only change must leave it untouched.
-	// fleet1000_events_per_sec is a wall-clock measurement of the harness
-	// itself and drifts run to run; it is recorded for the perf trajectory,
-	// not for bit-identity.
-	scaleRes, err := experiments.ScaleSweep(env, experiments.ScaleSweepConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	flagship, ok := scaleRes.Row(1000)
-	if !ok {
-		fatal(fmt.Errorf("missing 1000-device scale row"))
-	}
-	doc.Headline["fleet1000_served"] = float64(flagship.Served)
-	doc.Headline["fleet1000_frames"] = float64(flagship.Frames)
-	doc.Headline["fleet1000_events"] = float64(flagship.Events)
-	doc.Headline["fleet1000_horizon_s"] = flagship.HorizonSec
-	doc.Headline["fleet1000_p50_latency_s"] = flagship.LatencyP50Sec
-	doc.Headline["fleet1000_p99_latency_s"] = flagship.LatencyP99Sec
-	doc.Headline["fleet1000_miss_rate"] = flagship.DeadlineMissRate
-	doc.Headline["fleet1000_events_per_sec"] = flagship.EventsPerSec
-	const scaleNote = "fleet1000_events_per_sec is a wall-clock measurement and drifts " +
-		"run to run; every other headline key is simulated and deterministic per seed."
-	if doc.Notes == "" {
-		doc.Notes = scaleNote
-	} else {
-		doc.Notes += " " + scaleNote
-	}
-
-	if baseDoc != nil {
-		doc.Baseline = baseDoc
-		doc.Speedup = map[string]float64{}
-		for name, cur := range doc.Results {
-			if base, ok := baseDoc[name]; ok && cur.NsPerOp > 0 {
-				doc.Speedup[name] = base.NsPerOp / cur.NsPerOp
-			}
-		}
-	}
-
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	buf, err := json.MarshalIndent(Doc{Schema: "repro-bench/v2", Date: stamp, Headline: h}, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -191,14 +86,88 @@ func main() {
 	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	report(doc)
+	fmt.Fprintf(os.Stderr, "wrote %s (%d headline keys)\n", *out, len(h))
+}
+
+// readHeadline reads a BENCH document's headline block.
+func readHeadline(path string) (map[string]float64, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc Doc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return doc.Headline, nil
+}
+
+// diffHeadline compares a pinned headline with a derived one by
+// math.Float64bits, so a one-ulp drift and −0 against +0 both count. It
+// returns one line per missing (want only), extra (got only) or drifting
+// key, in key order; equal maps give none.
+func diffHeadline(want, got map[string]float64) []string {
+	keys := make([]string, 0, len(want)+len(got))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var diffs []string
+	for _, k := range keys {
+		w, inWant := want[k]
+		g, inGot := got[k]
+		switch {
+		case !inGot:
+			diffs = append(diffs, fmt.Sprintf("%s: missing (want %v)", k, w))
+		case !inWant:
+			diffs = append(diffs, fmt.Sprintf("%s: extra (got %v)", k, g))
+		case math.Float64bits(g) != math.Float64bits(w):
+			diffs = append(diffs, fmt.Sprintf("%s: got %v, want %v", k, g, w))
+		}
+	}
+	return diffs
+}
+
+// derive returns every simulated headline key: headline's blocks plus the
+// fleet1000_* flagship block, the serving profile of the 1 000-device /
+// 100 000-stream diurnal day (the default ScaleSweep grid).
+func derive() (map[string]float64, error) {
+	env, err := experiments.NewEnv(1, experiments.DefaultValidationFrames)
+	if err != nil {
+		return nil, err
+	}
+	h, err := headline(env)
+	if err != nil {
+		return nil, err
+	}
+	scale, err := experiments.ScaleSweep(env, experiments.ScaleSweepConfig{})
+	if err != nil {
+		return nil, err
+	}
+	flagship, ok := scale.Row(1000)
+	if !ok {
+		return nil, fmt.Errorf("missing 1000-device scale row")
+	}
+	h["fleet1000_served"] = float64(flagship.Served)
+	h["fleet1000_frames"] = float64(flagship.Frames)
+	h["fleet1000_events"] = float64(flagship.Events)
+	h["fleet1000_horizon_s"] = flagship.HorizonSec
+	h["fleet1000_p50_latency_s"] = flagship.LatencyP50Sec
+	h["fleet1000_p99_latency_s"] = flagship.LatencyP99Sec
+	h["fleet1000_miss_rate"] = flagship.DeadlineMissRate
+	return h, nil
 }
 
 // headline derives every simulated headline key except the fleet1000_*
-// flagship block: Table III, multi-stream, and the fleet sweeps at their
-// default grids. The keys are deterministic per seed; a perf-only change
-// must leave them untouched.
+// flagship block, whose one long event loop dominates derive's cost:
+// Table III, multi-stream, and the fleet sweeps at their default grids.
+// The keys are deterministic per seed; a perf-only change must leave them
+// untouched.
 func headline(env *experiments.Env) (map[string]float64, error) {
 	h := map[string]float64{}
 	t3, err := experiments.TableIII(env, nil)
@@ -393,38 +362,6 @@ func headline(env *experiments.Env) (map[string]float64, error) {
 	h["prefetch_swap_stall_share_p99_before"] = pf.Off.SwapStallShareOfP99
 	h["prefetch_swap_stall_share_p99_after"] = pf.On.SwapStallShareOfP99
 	return h, nil
-}
-
-// loadBaseline reads an older document's results for speedup computation.
-func loadBaseline(path string) (map[string]Result, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var old Doc
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	return old.Results, nil
-}
-
-// report prints a human-readable summary to stderr, in name order so two
-// runs of the same document render identically.
-func report(doc *Doc) {
-	names := make([]string, 0, len(doc.Results))
-	for name := range doc.Results {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := doc.Results[name]
-		line := fmt.Sprintf("%-26s %12.0f ns/%-10s %8d B/op %6d allocs/op",
-			name, r.NsPerOp, r.Unit, r.BytesPerOp, r.AllocsPerOp)
-		if s, ok := doc.Speedup[name]; ok {
-			line += fmt.Sprintf("   %.2fx vs baseline", s)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
 }
 
 func fatal(err error) {

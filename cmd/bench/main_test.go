@@ -1,8 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"maps"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,33 +11,29 @@ import (
 
 // headlineArtifact is the committed BENCH document whose headline keys the
 // simulation must still reproduce bit for bit.
-const headlineArtifact = "../../BENCH_2026-08-08.json"
+const headlineArtifact = "../../BENCH_2026-10-17.json"
 
-// prefetchHeadline pins the prefetch_* keys, which postdate the artifact.
-var prefetchHeadline = map[string]float64{
-	"prefetch_coverage":                    0.3283582089552239,
-	"prefetch_accuracy":                    1,
-	"prefetch_timeliness":                  1,
-	"prefetch_issued":                      8,
-	"prefetch_full_hits":                   1,
-	"prefetch_late_hits":                   0,
-	"prefetch_stall_saved_s":               1.499445031,
-	"prefetch_swap_stall_share_p99_before": 0.12700436087915518,
-	"prefetch_swap_stall_share_p99_after":  0.10489965176397299,
-}
+// artifactKeys pins the size of the artifact's key set, so a headline block
+// cannot leave derive and the regenerated artifact together unnoticed. A key
+// that leaves on purpose changes this number in a reviewed edit.
+const artifactKeys = 110
 
 // TestHeadlineMatchesArtifact recomputes every simulated headline key except
-// the fleet1000_* flagship block and compares it with exact float equality:
-// the artifact's keys must come back unchanged, and the prefetch keys must
-// equal their pinned literals.
+// the fleet1000_* flagship block and compares it bit for bit with the
+// artifact. The flagship block costs most of a full derive; `go run
+// ./cmd/bench -check` covers it.
 func TestHeadlineMatchesArtifact(t *testing.T) {
-	raw, err := os.ReadFile(headlineArtifact)
+	want, err := readHeadline(headlineArtifact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc Doc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
+	if len(want) != artifactKeys {
+		t.Fatalf("%s holds %d headline keys, want %d", headlineArtifact, len(want), artifactKeys)
+	}
+	for key := range want {
+		if strings.HasPrefix(key, "fleet1000_") {
+			delete(want, key)
+		}
 	}
 	env, err := experiments.NewEnv(1, experiments.DefaultValidationFrames)
 	if err != nil {
@@ -47,29 +43,47 @@ func TestHeadlineMatchesArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artifact := 0
-	for key, want := range doc.Headline {
-		if strings.HasPrefix(key, "fleet1000_") || strings.HasPrefix(key, "fleet100_") {
-			continue // the flagship scale block, outside headline()
-		}
-		artifact++
-		if v, ok := got[key]; !ok {
-			t.Errorf("%s: missing (artifact %v)", key, want)
-		} else if v != want {
-			t.Errorf("%s = %v, artifact %v", key, v, want)
-		}
+	for _, d := range diffHeadline(want, got) {
+		t.Error(d)
 	}
-	if artifact != 94 {
-		t.Errorf("artifact holds %d comparable keys, want 94", artifact)
+}
+
+// TestDiffHeadline pins the comparison: every kind of difference is reported
+// under its key's name, in key order, and equal maps report nothing.
+func TestDiffHeadline(t *testing.T) {
+	base := map[string]float64{"a": 1, "b": 0.1, "z": 0}
+	with := func(mut func(h map[string]float64)) map[string]float64 {
+		h := maps.Clone(base)
+		mut(h)
+		return h
 	}
-	for key, want := range prefetchHeadline {
-		if v, ok := got[key]; !ok {
-			t.Errorf("%s: missing (pinned %v)", key, want)
-		} else if v != want {
-			t.Errorf("%s = %v, pinned %v", key, v, want)
-		}
+	cases := []struct {
+		name string
+		got  map[string]float64
+		keys []string // the keys reported, in order
+	}{
+		{"equal", with(func(map[string]float64) {}), nil},
+		{"missing", with(func(h map[string]float64) { delete(h, "b") }), []string{"b"}},
+		{"extra", with(func(h map[string]float64) { h["c"] = 2 }), []string{"c"}},
+		{"one ulp", with(func(h map[string]float64) { h["b"] = math.Nextafter(0.1, 1) }), []string{"b"}},
+		{"negative zero", with(func(h map[string]float64) { h["z"] = math.Copysign(0, -1) }), []string{"z"}},
+		{"sorted", with(func(h map[string]float64) {
+			h["z"] = 1
+			h["c"] = 2
+			delete(h, "a")
+		}), []string{"a", "c", "z"}},
 	}
-	if len(got) != artifact+len(prefetchHeadline) {
-		t.Errorf("headline returned %d keys, want %d", len(got), artifact+len(prefetchHeadline))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			diffs := diffHeadline(base, c.got)
+			if len(diffs) != len(c.keys) {
+				t.Fatalf("got %q, want lines naming %q", diffs, c.keys)
+			}
+			for i, key := range c.keys {
+				if !strings.HasPrefix(diffs[i], key+":") {
+					t.Errorf("line %d = %q, want it to name %s", i, diffs[i], key)
+				}
+			}
+		})
 	}
 }

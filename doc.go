@@ -81,8 +81,8 @@
 //     burst and diurnal workload shapes), the crash-recovery grid
 //     (experiments.CrashSweep: kill-and-recover on a journaled fleet) and
 //     the fleet-scale grid (experiments.ScaleSweep: day-long diurnal
-//     traces on fleets up to 1 000 devices / 100 000 streams, measuring
-//     the event loop's wall-clock events/sec per selector) and the
+//     traces on fleets up to 1 000 devices / 100 000 streams, reporting
+//     each fleet's simulated serving profile) and the
 //     predictive-prefetch cell (experiments.PrefetchSweep: one miss-heavy
 //     recorder cell served predictor-off then predictor-on, putting the
 //     SupraX-style coverage/accuracy/timeliness scorecard next to the
@@ -99,9 +99,11 @@
 //   - examples/: quickstart, dronechase, energybudget, customzoo, livefeed,
 //     edgefarm.
 //
-// The benchmark registry (Benchmarks, benchmarks.go) regenerates every table
-// and figure and times the hot paths. `go test -run '^$' -bench .` runs it as
-// BenchmarkRepro/<Name>, and cmd/bench runs the same list into
-// BENCH_<date>.json; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for measured results against the paper's numbers.
+// The benchmark registry (benchmarks_test.go) regenerates every table and
+// figure and times the hot paths; `go test -run '^$' -bench .` runs it as
+// BenchmarkRepro/<Name>. cmd/bench derives the simulated headline into
+// BENCH_<date>.json and, with -check, re-derives a committed one bit for
+// bit; shiftbench times the end-to-end workloads. See DESIGN.md for the
+// experiment index and EXPERIMENTS.md for measured results against the
+// paper's numbers.
 package repro

@@ -11,8 +11,8 @@ import (
 // bit-identity across machines and runs.
 //
 // Wall-clock is legal only at explicitly annotated sites — CLI progress
-// reporting in cmd/* and benchmark throughput measurement (events/sec keys
-// documented as wall-clock-drifting) — each carrying
+// reporting and artifact date stamps in cmd/*, and retry pacing against
+// live worker processes — each carrying
 // //detlint:allow wallclock <reason>, which -inventory lists and the
 // inventory golden pins.
 var WallclockAnalyzer = &Analyzer{

@@ -12,11 +12,11 @@ import (
 	"repro/internal/zoo"
 )
 
-// ScaleSweep measures the simulator itself: how fast the fleet event loop
-// advances virtual time at production scale. Each cell serves a day-long
-// diurnal trace on an N-device fleet and reports its simulated serving
-// profile next to the event loop's wall-clock events/second. The flagship
-// cell is the ROADMAP's 1 000-device / 100 000-stream fleet.
+// ScaleSweep drives the fleet event loop at production scale. Each cell
+// serves a day-long diurnal trace on an N-device fleet and reports its
+// simulated serving profile. The flagship cell is the ROADMAP's
+// 1 000-device / 100 000-stream fleet; the loop's host time is measured by
+// shiftbench's fleet-day workload, not here.
 
 // ScaleSweepCell is one fleet-scale configuration.
 type ScaleSweepCell struct {
@@ -31,8 +31,8 @@ type ScaleSweepCell struct {
 
 // ScaleSweepConfig parameterizes the scale sweep.
 type ScaleSweepConfig struct {
-	// Cells lists the fleet scales measured (default: a saturated
-	// 100-device cell plus the 1 000-device / 100 000-stream flagship).
+	// Cells lists the fleet scales served (default: the 1 000-device /
+	// 100 000-stream flagship alone).
 	Cells []ScaleSweepCell
 	// SpanSec is the trace length in seconds (default 86 400 — one day).
 	SpanSec float64
@@ -57,10 +57,7 @@ type ScaleSweepConfig struct {
 func DefaultScaleSweepConfig() ScaleSweepConfig {
 	adm := fleet.Admission{PerDeviceStreams: 3, QueueLimit: -1}
 	return ScaleSweepConfig{
-		Cells: []ScaleSweepCell{
-			{Devices: 100, Streams: 10_000, SpanSec: 3600},
-			{Devices: 1000, Streams: 100_000},
-		},
+		Cells:      []ScaleSweepCell{{Devices: 1000, Streams: 100_000}},
 		SpanSec:    86_400,
 		DiurnalAmp: 0.85,
 		PeriodSec:  1,
@@ -70,10 +67,8 @@ func DefaultScaleSweepConfig() ScaleSweepConfig {
 	}
 }
 
-// ScaleSweepRow is one measured cell. The simulated columns (Served,
-// Frames, Events, Horizon, latency profile) are deterministic per seed and
-// (Devices, Streams, Span); WallSec and EventsPerSec are wall-clock
-// measurements and drift run to run.
+// ScaleSweepRow is one served cell. Every column is simulated and
+// deterministic per seed and (Devices, Streams, Span).
 type ScaleSweepRow struct {
 	Devices int
 	Streams int
@@ -90,9 +85,6 @@ type ScaleSweepRow struct {
 	LatencyP50Sec    float64
 	LatencyP99Sec    float64
 	DeadlineMissRate float64
-
-	WallSec      float64
-	EventsPerSec float64
 }
 
 // ScaleSweepResult is the full grid.
@@ -212,7 +204,7 @@ func (g *scaleAgg) depart(out *fleet.StreamOutcome) {
 
 // ScaleSweep runs the grid. Each cell generates its own seeded diurnal
 // trace (deterministic per (seed, streams, span)), serves it, and reports
-// both the simulated serving profile and the wall-clock loop throughput.
+// the simulated serving profile.
 func ScaleSweep(env *Env, cfg ScaleSweepConfig) (*ScaleSweepResult, error) {
 	def := DefaultScaleSweepConfig()
 	if len(cfg.Cells) == 0 {
@@ -287,12 +279,10 @@ func ScaleSweep(env *Env, cfg ScaleSweepConfig) (*ScaleSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
 		out, err := fl.Run(reqs)
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start).Seconds() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
 		for _, d := range fl.Devices() {
 			if n := d.DML.TotalRefs(); n != 0 {
 				return nil, fmt.Errorf("experiments: scale cell %d-dev leaked %d refs on %s",
@@ -311,8 +301,6 @@ func ScaleSweep(env *Env, cfg ScaleSweepConfig) (*ScaleSweepResult, error) {
 			LatencyP50Sec:    agg.hist.quantile(0.50),
 			LatencyP99Sec:    agg.hist.quantile(0.99),
 			DeadlineMissRate: missRate(agg.missed, agg.frames),
-			WallSec:          wall,
-			EventsPerSec:     float64(out.Events) / wall,
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -329,14 +317,13 @@ func missRate(missed, frames int) float64 {
 // Report renders the grid.
 func (r *ScaleSweepResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet scale sweep: wall-clock event-loop throughput\n")
-	fmt.Fprintf(&b, "%8s %8s %10s %9s %8s %8s %8s %12s\n",
-		"devices", "streams", "events", "wall_s", "ev/s", "p50_s", "p99_s", "miss")
+	fmt.Fprintf(&b, "Fleet scale sweep: simulated serving profile\n")
+	fmt.Fprintf(&b, "%8s %8s %10s %8s %8s %12s\n",
+		"devices", "streams", "events", "p50_s", "p99_s", "miss")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %8d %10d %9.2f %8.0f %8.3f %8.3f %11.2f%%\n",
-			row.Devices, row.Streams, row.Events, row.WallSec,
-			row.EventsPerSec, row.LatencyP50Sec, row.LatencyP99Sec,
-			100*row.DeadlineMissRate)
+		fmt.Fprintf(&b, "%8d %8d %10d %8.3f %8.3f %11.2f%%\n",
+			row.Devices, row.Streams, row.Events,
+			row.LatencyP50Sec, row.LatencyP99Sec, 100*row.DeadlineMissRate)
 	}
 	return b.String()
 }

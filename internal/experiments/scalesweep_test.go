@@ -6,7 +6,7 @@ import (
 )
 
 // quickScaleSweepConfig shrinks the grid to unit-test size: a 4-device fleet
-// serving 200 streams over a compressed two-minute "day", measured twice.
+// serving 200 streams over a compressed two-minute "day", served twice.
 func quickScaleSweepConfig() ScaleSweepConfig {
 	cfg := DefaultScaleSweepConfig()
 	cfg.Cells = []ScaleSweepCell{
@@ -18,9 +18,8 @@ func quickScaleSweepConfig() ScaleSweepConfig {
 }
 
 // TestScaleSweepRepeatAgrees pins the sweep's determinism: two runs of the
-// same cell report bit-identical simulated results — only the wall-clock
-// columns may differ — and the trace actually saturates enough to measure
-// (nonzero events, frames, horizon near the span).
+// same cell report bit-identical rows, and the trace actually saturates
+// enough to measure (nonzero events, frames, horizon near the span).
 func TestScaleSweepRepeatAgrees(t *testing.T) {
 	env, err := Shared()
 	if err != nil {
@@ -41,23 +40,13 @@ func TestScaleSweepRepeatAgrees(t *testing.T) {
 		t.Fatalf("horizon %.1fs never approached the %.0fs span — trace too sparse to measure",
 			ref.HorizonSec, ref.SpanSec)
 	}
-	if row := res.Rows[1]; row.Served != ref.Served || row.Rejected != ref.Rejected ||
-		row.Frames != ref.Frames || row.Events != ref.Events ||
-		row.HorizonSec != ref.HorizonSec ||
-		row.LatencyP50Sec != ref.LatencyP50Sec ||
-		row.LatencyP99Sec != ref.LatencyP99Sec ||
-		row.DeadlineMissRate != ref.DeadlineMissRate {
+	if row := res.Rows[1]; row != ref {
 		t.Fatalf("repeat diverges:\n%+v\n%+v", ref, row)
-	}
-	for _, row := range res.Rows {
-		if row.WallSec <= 0 || row.EventsPerSec <= 0 {
-			t.Fatalf("non-positive wall-clock measurement: %+v", row)
-		}
 	}
 	if got, ok := res.Row(4); !ok || got != ref {
 		t.Fatalf("Row(4) = %+v, %v; want the first 4-device row", got, ok)
 	}
-	if report := res.Report(); !strings.Contains(report, "ev/s") || strings.Count(report, "\n") != 2+len(res.Rows) {
+	if report := res.Report(); !strings.Contains(report, "p99_s") || strings.Count(report, "\n") != 2+len(res.Rows) {
 		t.Fatalf("report missing header or rows:\n%s", report)
 	}
 }

@@ -597,8 +597,8 @@ type Result struct {
 	JournalWrites  int
 	JournalBytes   int64
 	// Events counts processed loop events (arrivals, steps, departures,
-	// fault edges, scale ticks) — the denominator of the scale sweep's
-	// wall-clock events/sec. Deterministic per config and seed.
+	// fault edges, scale ticks) — the denominator of per-event host-time
+	// measurements. Deterministic per config and seed.
 	Events int64
 	// Prefetch aggregates the departed sessions' swap-prediction stats
 	// (coverage/accuracy/timeliness inputs) — all zero when Config.Prefetch

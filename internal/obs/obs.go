@@ -139,7 +139,7 @@ func (s Span) Dur() time.Duration { return s.End - s.Start }
 // registry derived from it. A nil *Recorder is the detached state; every
 // instrumentation site nil-checks before doing any work, so a detached run
 // pays one predictable branch per hook (benchmarked by the
-// RecorderOverhead entries of repro.Benchmarks).
+// BenchmarkRepro/RecorderOverhead pair).
 type Recorder struct {
 	spans []Span
 	reg   Registry

@@ -64,7 +64,7 @@ type Config struct {
 	SwapMargin float64
 	// DisableGate is an ablation switch: when set, the NCC keep-gate is
 	// bypassed and the full decision path runs on every frame. Used by
-	// the AblationNoNCC benchmark (repro.Benchmarks) to quantify what the gate saves.
+	// the AblationNoNCC benchmark (BenchmarkRepro) to quantify what the gate saves.
 	DisableGate bool
 	// MaxLatencySec and MaxEnergyJ are optional hard per-inference
 	// constraints (0 = unconstrained): pairs whose characterized mean
