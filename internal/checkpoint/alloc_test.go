@@ -45,3 +45,32 @@ func TestEncodeAllocationsIndependentOfLength(t *testing.T) {
 		t.Fatalf("Encode allocates %v times at 10 records but %v at 200", short, long)
 	}
 }
+
+// TestJournalWriteAllocations gates one fleet journal write — Session.Snapshot
+// plus EncodeSnapshot with the fleet's two counters — at the 60-frame
+// fixture, so the snapshot and codec cannot quietly gain allocations.
+func TestJournalWriteAllocations(t *testing.T) {
+	const maxSnapshot, maxEncode = 20, 2 // the counts measured with Go 1.24
+	env, frames := fixture(t)
+	sess, _ := shiftSession(t, env, frames)
+	defer sess.Close()
+	for i := 0; i < 60; i++ {
+		if err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := testing.AllocsPerRun(20, func() { sess.Snapshot() })
+	snap := sess.Snapshot()
+	encode := testing.AllocsPerRun(20, func() {
+		if _, err := checkpoint.EncodeSnapshot(snap, "scenario2", env.Seed, map[string]uint64{
+			"journal_seq": 60,
+			"served":      uint64(snap.Served()),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if snapshot > maxSnapshot || encode > maxEncode {
+		t.Fatalf("one journal write allocates %v (snapshot) + %v (encode) times, want <= %d + %d",
+			snapshot, encode, maxSnapshot, maxEncode)
+	}
+}

@@ -19,7 +19,8 @@
 // checkpoint), the served records and timings, the portable policy state,
 // the residency manifest, and free-form metrics counters. Unknown section
 // ids are skipped so minor additive fields do not bump the version; layout
-// changes do.
+// changes do. The codec reads and writes the snapshot types themselves:
+// runtime.SessionSnapshot, pipeline.State and sched.State.
 //
 // Decode is total: any corrupt, truncated or future-version input returns a
 // typed error (ErrBadMagic, ErrVersion, ErrTruncated, ErrCorrupt) and never
@@ -73,17 +74,18 @@ var (
 	ErrCorrupt   = errors.New("checkpoint: corrupt input")
 )
 
-// Checkpoint is the decoded form: the session's serialized view plus the
-// frame source by reference and the journal's metrics counters.
+// Checkpoint is the decoded form: the session snapshot plus the frame
+// source by reference and the journal's metrics counters.
 type Checkpoint struct {
-	// Session is everything runtime.SnapshotFromData needs except the
-	// frames themselves.
-	Session *runtime.SnapshotData
-	// Scenario and RenderSeed name the frame source: the stream's frames
-	// are the first Session.FrameCount frames of Scenario rendered with
-	// RenderSeed.
+	// Session is the stream's checkpoint without its frames; Snapshot
+	// attaches them.
+	Session *runtime.SessionSnapshot
+	// Scenario, RenderSeed and FrameCount name the frame source: the
+	// stream's frames are the first FrameCount frames of Scenario rendered
+	// with RenderSeed.
 	Scenario   string
 	RenderSeed uint64
+	FrameCount int
 	// Counters carries journal metadata (sequence numbers, replay counts);
 	// the format does not interpret them.
 	Counters map[string]uint64
@@ -99,17 +101,32 @@ func (c *Checkpoint) Frames() ([]scene.Frame, error) {
 		return nil, fmt.Errorf("checkpoint: stream %q: %w", c.Session.Name, err)
 	}
 	frames := s.Render(c.RenderSeed)
-	if len(frames) < c.Session.FrameCount {
+	if len(frames) < c.FrameCount {
 		return nil, fmt.Errorf("checkpoint: stream %q needs %d frames, scenario %q renders %d",
-			c.Session.Name, c.Session.FrameCount, c.Scenario, len(frames))
+			c.Session.Name, c.FrameCount, c.Scenario, len(frames))
 	}
-	return frames[:c.Session.FrameCount], nil
+	return frames[:c.FrameCount], nil
 }
 
-// Snapshot rebuilds the runtime checkpoint from the decoded form plus the
-// re-supplied frames.
+// Snapshot attaches the re-supplied frames to the checkpoint's session and
+// returns it, ready for runtime.RestoreSession. The cursor must be consistent
+// with the frame count; the caller picks the policy when it restores.
 func (c *Checkpoint) Snapshot(frames []scene.Frame) (*runtime.SessionSnapshot, error) {
-	return runtime.SnapshotFromData(c.Session, frames)
+	sn := c.Session
+	if len(frames) != c.FrameCount {
+		return nil, fmt.Errorf("checkpoint: stream %q expects %d frames, resupplied %d",
+			sn.Name, c.FrameCount, len(frames))
+	}
+	if sn.Next < 0 || sn.Next > c.FrameCount {
+		return nil, fmt.Errorf("checkpoint: stream %q cursor %d outside 0..%d",
+			sn.Name, sn.Next, c.FrameCount)
+	}
+	if len(sn.Records) != len(sn.Timings) {
+		return nil, fmt.Errorf("checkpoint: stream %q has %d records but %d timings",
+			sn.Name, len(sn.Records), len(sn.Timings))
+	}
+	sn.SetFrames(frames)
+	return sn, nil
 }
 
 // EncodeSnapshot serializes a live session checkpoint: the common case where
@@ -117,9 +134,11 @@ func (c *Checkpoint) Snapshot(frames []scene.Frame) (*runtime.SessionSnapshot, e
 // reference.
 func EncodeSnapshot(snap *runtime.SessionSnapshot, scenario string, renderSeed uint64, counters map[string]uint64) ([]byte, error) {
 	return Encode(&Checkpoint{
-		Session:    snap.Data(),
+		Session:    snap,
 		Scenario:   scenario,
 		RenderSeed: renderSeed,
+		// Served and remaining frames add up to the stream's length.
+		FrameCount: snap.Next + snap.Remaining(),
 		Counters:   counters,
 	})
 }
@@ -128,7 +147,7 @@ func EncodeSnapshot(snap *runtime.SessionSnapshot, scenario string, renderSeed u
 // (an unrecognized portable-policy type) rather than dropping it silently.
 func Encode(c *Checkpoint) ([]byte, error) {
 	if c.Session == nil {
-		return nil, fmt.Errorf("checkpoint: encode with no session data")
+		return nil, fmt.Errorf("checkpoint: encode with no session")
 	}
 	d := c.Session
 	if len(d.Records) != len(d.Timings) {
@@ -150,7 +169,7 @@ func Encode(c *Checkpoint) ([]byte, error) {
 	p.str(d.Name)
 	p.str(d.PolicyName)
 	p.f64(d.PeriodSec)
-	p.i64(int64(d.FrameCount))
+	p.i64(int64(c.FrameCount))
 	p.i64(int64(d.Next))
 	p.i64(int64(d.Base))
 	p.i64(int64(d.Done))
@@ -233,7 +252,7 @@ func encodedSize(c *Checkpoint) int {
 	n += 8 + len(d.Timings)*timing
 	n++ // policy kind
 	if st, ok := d.PolicyState.(*pipeline.State); ok {
-		n += pairSize(st.Cur) + schedStateSize(st.Sched.Data())
+		n += pairSize(st.Cur) + schedStateSize(st.Sched)
 	}
 	n += 1 + pairSize(d.Held)
 	n += 8
@@ -243,7 +262,7 @@ func encodedSize(c *Checkpoint) int {
 	return n
 }
 
-func schedStateSize(d *sched.StateData) int {
+func schedStateSize(d *sched.State) int {
 	n := 8
 	for _, model := range d.Models {
 		n += strSize(model) + 8 + 8 + 2
@@ -269,7 +288,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, version)
 	}
 
-	c := &Checkpoint{Session: &runtime.SnapshotData{}, Counters: map[string]uint64{}}
+	c := &Checkpoint{Session: &runtime.SessionSnapshot{}, Counters: map[string]uint64{}}
 	seen := map[uint32]bool{}
 	var haveStream bool
 	for r.remaining() > 0 && r.err == nil {
@@ -338,14 +357,17 @@ func Decode(b []byte) (*Checkpoint, error) {
 // the per-section CRCs.
 func validate(c *Checkpoint) error {
 	d := c.Session
-	if d.FrameCount < 0 || d.Next < 0 || d.Next > d.FrameCount {
-		return fmt.Errorf("%w: cursor %d over %d frames", ErrCorrupt, d.Next, d.FrameCount)
+	if c.FrameCount < 0 || d.Next < 0 || d.Next > c.FrameCount {
+		return fmt.Errorf("%w: cursor %d over %d frames", ErrCorrupt, d.Next, c.FrameCount)
 	}
 	if len(d.Records) != len(d.Timings) {
 		return fmt.Errorf("%w: %d records, %d timings", ErrCorrupt, len(d.Records), len(d.Timings))
 	}
-	if len(d.Records) > d.Next {
-		return fmt.Errorf("%w: %d records past cursor %d", ErrCorrupt, len(d.Records), d.Next)
+	// The session appends one record per frame it serves, so the cursor
+	// equals the record count; a cursor ahead of the records would skip
+	// frames on restore and leave them unrecorded.
+	if len(d.Records) != d.Next {
+		return fmt.Errorf("%w: %d records at cursor %d", ErrCorrupt, len(d.Records), d.Next)
 	}
 	if !(d.PeriodSec >= 0) || d.Base < 0 || d.Done < 0 || d.Deadline < 0 {
 		return fmt.Errorf("%w: negative schedule", ErrCorrupt)
@@ -358,7 +380,7 @@ func decodeStream(p *reader, c *Checkpoint) error {
 	d.Name = p.str()
 	d.PolicyName = p.str()
 	d.PeriodSec = p.f64()
-	d.FrameCount = p.int()
+	c.FrameCount = p.int()
 	d.Next = p.int()
 	d.Base = p.dur()
 	d.Done = p.dur()
@@ -369,7 +391,7 @@ func decodeStream(p *reader, c *Checkpoint) error {
 	return p.close(secStream)
 }
 
-func decodeRecords(p *reader, d *runtime.SnapshotData) error {
+func decodeRecords(p *reader, d *runtime.SessionSnapshot) error {
 	// A record serializes to ≥ 62 bytes; the count can never exceed what
 	// the payload could hold, so a crafted count cannot force a huge
 	// allocation.
@@ -399,7 +421,7 @@ func decodeRecords(p *reader, d *runtime.SnapshotData) error {
 	return p.close(secRecords)
 }
 
-func decodeTimings(p *reader, d *runtime.SnapshotData) error {
+func decodeTimings(p *reader, d *runtime.SessionSnapshot) error {
 	n := p.count(40)
 	ts := make([]runtime.FrameTiming, 0, n)
 	for i := 0; i < n; i++ {
@@ -442,13 +464,13 @@ func encodePolicy(p *writer, state any) error {
 	case *pipeline.State:
 		p.u8(policyShift)
 		p.pair(st.Cur)
-		return encodeSchedState(p, st.Sched.Data())
+		return encodeSchedState(p, st.Sched)
 	default:
 		return fmt.Errorf("checkpoint: unencodable policy state %T", state)
 	}
 }
 
-func encodeSchedState(p *writer, d *sched.StateData) error {
+func encodeSchedState(p *writer, d *sched.State) error {
 	n := len(d.Models)
 	if len(d.Bufs) != n || len(d.RVals) != n || len(d.RSet) != n || len(d.Valid) != n {
 		return fmt.Errorf("checkpoint: inconsistent scheduler state: %d models, %d/%d/%d/%d entries",
@@ -475,7 +497,7 @@ func encodeSchedState(p *writer, d *sched.StateData) error {
 	return nil
 }
 
-func decodePolicy(p *reader, d *runtime.SnapshotData) error {
+func decodePolicy(p *reader, d *runtime.SessionSnapshot) error {
 	switch kind := p.u8(); {
 	case p.err != nil:
 		return p.err
@@ -483,16 +505,9 @@ func decodePolicy(p *reader, d *runtime.SnapshotData) error {
 		return p.close(secPolicy)
 	case kind == policyShift:
 		cur := p.pair()
-		sd, err := decodeSchedState(p)
-		if err != nil {
-			return err
-		}
+		st := decodeSchedState(p)
 		if err := p.close(secPolicy); err != nil {
 			return err
-		}
-		st, err := sched.StateFromData(sd)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		d.PolicyState = &pipeline.State{Sched: st, Cur: cur}
 		return nil
@@ -501,9 +516,11 @@ func decodePolicy(p *reader, d *runtime.SnapshotData) error {
 	}
 }
 
-func decodeSchedState(p *reader) (*sched.StateData, error) {
+// decodeSchedState builds the per-model slices together, so the state is
+// consistent by construction; read errors surface at the section's close.
+func decodeSchedState(p *reader) *sched.State {
 	n := p.count(16)
-	d := &sched.StateData{
+	d := &sched.State{
 		Models: make([]string, 0, n),
 		Bufs:   make([][]float64, 0, n),
 		RVals:  make([]float64, 0, n),
@@ -529,5 +546,5 @@ func decodeSchedState(p *reader) (*sched.StateData, error) {
 	d.BoxSum = p.u64()
 	d.BoxSumSq = p.u64()
 	d.BoxFlip = p.int()
-	return d, p.err
+	return d
 }

@@ -114,7 +114,7 @@ func TestWireRoundTripResume(t *testing.T) {
 		}
 		var at time.Duration
 		if k > 0 {
-			at = snap.Partial().Timings[k-1].Done
+			at = snap.Timings[k-1].Done
 		}
 		sess, err := runtime.RestoreSession(sys, dml, snap, pol, at)
 		if err != nil {
@@ -231,6 +231,28 @@ func TestDecodeTypedErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCursorAheadOfRecords pins the cursor invariant: a
+// session appends one record per frame it serves, so a checkpoint whose
+// cursor runs ahead of its records would skip the unrecorded frames on
+// restore. Cutting the last records and timings of a valid checkpoint
+// leaves every section CRC-valid, and only validate can refuse it.
+func TestDecodeRejectsCursorAheadOfRecords(t *testing.T) {
+	b, _ := encodeAt(t, 40)
+	c, err := checkpoint.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Session.Records = c.Session.Records[:30]
+	c.Session.Timings = c.Session.Timings[:30]
+	cut, err := checkpoint.Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Decode(cut); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("cursor 40 over 30 records: got %v, want ErrCorrupt", err)
+	}
+}
+
 // TestEncodeRejectsForeignPolicyState pins the encode-time failure: a policy
 // state the format does not know must fail at checkpoint time, not at a
 // failed restore after a crash.
@@ -277,7 +299,7 @@ func TestEncodeGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("golden policy state is %T, want *pipeline.State", c.Session.PolicyState)
 	}
-	d := st.Sched.Data()
+	d := st.Sched
 	momentum := 0
 	for _, buf := range d.Bufs {
 		momentum += len(buf)

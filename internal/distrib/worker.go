@@ -223,7 +223,7 @@ func (wk *worker) open(req *Request) (*runtime.Session, error) {
 	}
 	var at time.Duration
 	if k := snap.Served(); k > 0 {
-		at = snap.Partial().Timings[k-1].Done
+		at = snap.Timings[k-1].Done
 	}
 	return runtime.RestoreSession(wk.sys, wk.dml, snap, pol, at)
 }

@@ -137,7 +137,7 @@ func (f *Fleet) crash(d *Device, at time.Duration, queue *[]*pending) error {
 		as.out.ReplayedFrames += lost
 		f.replayedFrames += lost
 		d.displaced++
-		f.teach(as.out.Scenario, snap.Partial().Result.Records)
+		f.teach(as.out.Scenario, snap.Records)
 		moved = append(moved, &pending{out: as.out, req: as.req, snap: snap, since: at, crashed: true})
 	}
 	d.sessions = d.sessions[:0]

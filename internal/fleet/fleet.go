@@ -908,7 +908,7 @@ func (f *Fleet) evacuate(d *Device, at time.Duration, queue *[]*pending, reason 
 		if h := as.sess.Horizon(); h > d.horizon {
 			d.horizon = h
 		}
-		f.teach(as.out.Scenario, snap.Partial().Result.Records)
+		f.teach(as.out.Scenario, snap.Records)
 		count()
 		// Drain emitted its span into the session's buffer; collect it in
 		// event order now.

@@ -126,7 +126,7 @@ func TestSessionChurnConformance(t *testing.T) {
 		}
 		var at time.Duration
 		if k > 0 {
-			at = snap.Partial().Timings[k-1].Done
+			at = snap.Timings[k-1].Done
 		}
 		b, err := runtime.RestoreSession(sysB, dmlB, snap, polB, at)
 		if err != nil {
@@ -208,7 +208,7 @@ func TestSessionChurnWireConformance(t *testing.T) {
 		}
 		var at time.Duration
 		if k > 0 {
-			at = decoded.Partial().Timings[k-1].Done
+			at = decoded.Timings[k-1].Done
 		}
 		b, err := runtime.RestoreSession(sysB, dmlB, decoded, polB, at)
 		if err != nil {
@@ -269,7 +269,7 @@ func TestSessionChurnNonPortablePolicy(t *testing.T) {
 	}
 	sysB := zoo.Default(2) // genuinely different device is fine for a fixed policy
 	dmlB := loader.New(sysB, loader.EvictLRR)
-	b, err := runtime.RestoreSession(sysB, dmlB, snap, mk(sysB), snap.Partial().Timings[14].Done)
+	b, err := runtime.RestoreSession(sysB, dmlB, snap, mk(sysB), snap.Timings[14].Done)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestSessionDrain(t *testing.T) {
 	sys2 := zoo.Default(1)
 	dml2 := loader.New(sys2, loader.EvictLRR)
 	restored, err := RestoreSession(sys2, dml2, snap,
-		&fixedPolicy{pair: testPair(t, sys2, detmodel.YoloV7, "gpu")}, snap.Partial().Timings[7].Done)
+		&fixedPolicy{pair: testPair(t, sys2, detmodel.YoloV7, "gpu")}, snap.Timings[7].Done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +157,15 @@ func TestRestoreUnknownModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the checkpoint through its serialized view with the held engine
-	// renamed to a model no zoo carries — what a checkpoint from a foreign or
-	// newer fleet would look like.
-	data := snap.Data()
-	if !data.HaveHeld {
+	// Copy the checkpoint with the held engine renamed to a model no zoo
+	// carries — what a checkpoint from a foreign or newer fleet would look
+	// like.
+	if !snap.HaveHeld {
 		t.Fatal("drained session should hold its serving engine")
 	}
-	data.Held.Model = "yolo-v99-renamed"
-	bad, err := SnapshotFromData(data, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RestoreSession(sys, dml, bad,
+	bad := *snap
+	bad.Held.Model = "yolo-v99-renamed"
+	_, err = RestoreSession(sys, dml, &bad,
 		&fixedPolicy{pair: testPair(t, sys, detmodel.YoloV7, "gpu")}, 0)
 	if !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("restore with renamed model: got %v, want ErrUnknownModel", err)

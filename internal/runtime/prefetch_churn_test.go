@@ -103,7 +103,7 @@ func TestSessionChurnConformancePrefetchOn(t *testing.T) {
 		}
 		var at time.Duration
 		if k > 0 {
-			at = snap.Partial().Timings[k-1].Done
+			at = snap.Timings[k-1].Done
 		}
 		b, err := runtime.RestoreSession(sysB, dmlB, snap, polB, at)
 		if err != nil {
@@ -171,7 +171,7 @@ func TestSnapshotPredictorStateIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runtime.RestoreSession(sysB, dmlB, snap, polB, snap.Partial().Timings[39].Done)
+	b, err := runtime.RestoreSession(sysB, dmlB, snap, polB, snap.Timings[39].Done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func FuzzPredictorDeterminism(f *testing.F) {
 		}
 		var at time.Duration
 		if k > 0 {
-			at = snap.Partial().Timings[k-1].Done
+			at = snap.Timings[k-1].Done
 		}
 		d, err := runtime.RestoreSession(sysD, dmlD, snap, polD, at)
 		if err != nil {

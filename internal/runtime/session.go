@@ -205,67 +205,69 @@ func (s *Session) Step() error {
 }
 
 // SessionSnapshot is a device-independent checkpoint of a serving session:
-// the stream spec and frame cursor, the camera schedule (so deadline
-// accounting survives a move), the records and timings accumulated so far, the
-// policy's portable decision state, and the residency manifest — which engine
-// the stream was holding when the checkpoint was taken. RestoreSession resumes
-// it on any device of an equivalent zoo.
+// the stream's frame cursor, the camera schedule (so deadline accounting
+// survives a move), the records and timings accumulated so far, the policy's
+// portable decision state, and the residency manifest — which engine the
+// stream was holding when the checkpoint was taken. RestoreSession resumes it
+// on any device of an equivalent zoo.
+//
+// The exported fields are exactly what the durable wire format
+// (internal/checkpoint) carries; it reads and writes them directly. Readers
+// must not mutate the slices, which Partial shares. The frames travel by
+// reference instead (the decoder re-supplies them with SetFrames), because
+// inlining pixel data would dwarf the checkpoint.
 type SessionSnapshot struct {
-	spec StreamSpec
-	name string
-	// policyName is recorded at snapshot time so Partial and serialization
-	// work on snapshots whose spec carries no live policy instance (e.g. one
-	// decoded from the durable wire format before restore).
-	policyName string
+	Name string
+	// PolicyName is recorded at snapshot time so Partial and serialization
+	// work on snapshots that carry no live policy instance (e.g. one decoded
+	// from the durable wire format before restore).
+	PolicyName string
+	PeriodSec  float64
 
-	next       int
-	base, done time.Duration
-	deadline   time.Duration
-	prev       zoo.Pair
+	// Next is the index of the next frame to serve; Base, Done and Deadline
+	// are the session's camera schedule and horizon, Prev the previous
+	// frame's pair.
+	Next                 int
+	Base, Done, Deadline time.Duration
+	Prev                 zoo.Pair
 
-	records []FrameRecord
-	timings []FrameTiming
+	Records []FrameRecord
+	Timings []FrameTiming
 
-	policyState any
-	held        zoo.Pair
-	haveHeld    bool
+	// PolicyState is the portable policy state exactly as SnapshotState
+	// returned it; the checkpoint layer knows the concrete types it encodes.
+	PolicyState any
+	// Held is the engine the stream held at checkpoint time, if HaveHeld.
+	Held     zoo.Pair
+	HaveHeld bool
 
+	frames   []scene.Frame
+	prefetch *predict.Config
 	// predState carries the swap predictor's learned history so a migrated
 	// stream keeps predicting from frame one on its new device. It rides
-	// only the in-memory snapshot, never the durable wire format
-	// (SnapshotData): crash-recovered streams re-learn, and the journal
-	// byte stream stays bit-identical with the predictor on or off.
+	// only the in-memory snapshot, never the durable wire format:
+	// crash-recovered streams re-learn, and the journal byte stream stays
+	// bit-identical with the predictor on or off.
 	predState *predict.State
 }
 
-// Name returns the checkpointed stream's label.
-func (sn *SessionSnapshot) Name() string { return sn.name }
-
 // Remaining returns the number of frames the checkpointed stream has left.
-func (sn *SessionSnapshot) Remaining() int { return len(sn.spec.Frames) - sn.next }
+func (sn *SessionSnapshot) Remaining() int { return len(sn.frames) - sn.Next }
 
 // Served returns the number of frames recorded up to the checkpoint.
-func (sn *SessionSnapshot) Served() int { return len(sn.records) }
-
-// Held returns the residency manifest: the engine the stream held at
-// checkpoint time, and whether it held one at all.
-func (sn *SessionSnapshot) Held() (zoo.Pair, bool) { return sn.held, sn.haveHeld }
+func (sn *SessionSnapshot) Served() int { return len(sn.Records) }
 
 // Partial returns the records and timings served up to the checkpoint — the
 // stream's results when it can never be resumed (every device dead).
 func (sn *SessionSnapshot) Partial() *StreamResult {
-	method := sn.policyName
-	if method == "" && sn.spec.Policy != nil {
-		method = sn.spec.Policy.Name()
-	}
 	return &StreamResult{
-		Name: sn.name,
+		Name: sn.Name,
 		Result: &Result{
-			Method:   method,
-			Scenario: sn.name,
-			Records:  sn.records,
+			Method:   sn.PolicyName,
+			Scenario: sn.Name,
+			Records:  sn.Records,
 		},
-		Timings: sn.timings,
+		Timings: sn.Timings,
 	}
 }
 
@@ -275,21 +277,23 @@ func (sn *SessionSnapshot) Partial() *StreamResult {
 // remains usable; a checkpoint is a fork point, not a close.
 func (s *Session) Snapshot() *SessionSnapshot {
 	sn := &SessionSnapshot{
-		spec:       s.spec,
-		name:       s.res.Name,
-		policyName: s.spec.Policy.Name(),
-		next:       s.next,
-		base:       s.base,
-		done:       s.done,
-		deadline:   s.deadline,
-		prev:       s.prev,
-		records:    append([]FrameRecord(nil), s.res.Result.Records...),
-		timings:    append([]FrameTiming(nil), s.res.Timings...),
-		held:       s.eng.held,
-		haveHeld:   s.eng.haveHeld,
+		Name:       s.res.Name,
+		PolicyName: s.spec.Policy.Name(),
+		PeriodSec:  s.spec.PeriodSec,
+		Next:       s.next,
+		Base:       s.base,
+		Done:       s.done,
+		Deadline:   s.deadline,
+		Prev:       s.prev,
+		Records:    append([]FrameRecord(nil), s.res.Result.Records...),
+		Timings:    append([]FrameTiming(nil), s.res.Timings...),
+		Held:       s.eng.held,
+		HaveHeld:   s.eng.haveHeld,
+		frames:     s.spec.Frames,
+		prefetch:   s.spec.Prefetch,
 	}
 	if pp, ok := s.spec.Policy.(PortablePolicy); ok {
-		sn.policyState = pp.SnapshotState()
+		sn.PolicyState = pp.SnapshotState()
 	}
 	if s.eng.pred != nil {
 		sn.predState = s.eng.pred.Snapshot()
@@ -297,11 +301,15 @@ func (s *Session) Snapshot() *SessionSnapshot {
 	return sn
 }
 
+// SetFrames attaches the stream's rendered frames to a snapshot decoded from
+// the durable wire format, which carries them by reference only.
+func (sn *SessionSnapshot) SetFrames(frames []scene.Frame) { sn.frames = frames }
+
 // SetPrefetch installs (or clears) a swap-predictor config on the
-// checkpointed spec, so a snapshot decoded from the durable wire format —
+// checkpointed stream, so a snapshot decoded from the durable wire format —
 // which intentionally carries no prefetch state — resumes with prediction
 // enabled when the fleet is configured for it.
-func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.spec.Prefetch = cfg }
+func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.prefetch = cfg }
 
 // RestoreSession resumes a checkpointed stream on sys/dml at virtual time at
 // (no earlier than the checkpoint's horizon): the frame cursor, camera
@@ -320,29 +328,31 @@ func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.spec.Prefetch =
 // on every path.
 func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, pol Policy, at time.Duration) (*Session, error) {
 	if pol == nil {
-		return nil, fmt.Errorf("runtime: restore stream %q with no policy", snap.name)
+		return nil, fmt.Errorf("runtime: restore stream %q with no policy", snap.Name)
 	}
 	if err := snap.validateModels(sys); err != nil {
 		return nil, err
 	}
-	if at < snap.done {
-		at = snap.done
+	if at < snap.Done {
+		at = snap.Done
 	}
-	spec := snap.spec
-	spec.Policy = pol
-	s, err := newSession(sys, dml, spec, snap.name, at)
+	spec := StreamSpec{
+		Name: snap.Name, Frames: snap.frames, PeriodSec: snap.PeriodSec,
+		Policy: pol, Prefetch: snap.prefetch,
+	}
+	s, err := newSession(sys, dml, spec, snap.Name, at)
 	if err != nil {
 		return nil, err
 	}
-	s.base = snap.base
-	s.deadline = snap.deadline
-	s.next = snap.next
-	s.prev = snap.prev
-	s.res.Result.Records = append(s.res.Result.Records, snap.records...)
-	s.res.Timings = append(s.res.Timings, snap.timings...)
-	if pp, ok := pol.(PortablePolicy); ok && snap.policyState != nil {
-		if err := pp.RestoreState(snap.policyState); err != nil {
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+	s.base = snap.Base
+	s.deadline = snap.Deadline
+	s.next = snap.Next
+	s.prev = snap.Prev
+	s.res.Result.Records = append(s.res.Result.Records, snap.Records...)
+	s.res.Timings = append(s.res.Timings, snap.Timings...)
+	if pp, ok := pol.(PortablePolicy); ok && snap.PolicyState != nil {
+		if err := pp.RestoreState(snap.PolicyState); err != nil {
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 		}
 	} else {
 		if err := s.start(); err != nil {
@@ -351,24 +361,24 @@ func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, 
 	}
 	if s.eng.pred != nil && snap.predState != nil {
 		if err := s.eng.pred.Restore(snap.predState); err != nil {
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 		}
 	}
-	if snap.haveHeld {
+	if snap.HaveHeld {
 		// The load is charged through the engine's exec, so it queues on the
 		// new device and surfaces as pre-step backlog, like Reset's prefetch.
-		_, err := s.eng.ensureLoad(snap.held)
+		_, err := s.eng.ensureLoad(snap.Held)
 		switch {
 		case errors.Is(err, loader.ErrNoMemory):
 			// Every candidate victim is held by other streams; resume unheld
 			// and let the first step's Acquire arbitrate.
 		case err != nil:
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: reacquire %v: %w", snap.name, snap.held, err), s.Close())
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: reacquire %v: %w", snap.Name, snap.Held, err), s.Close())
 		default:
-			if err := dml.Acquire(snap.held); err != nil {
-				return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+			if err := dml.Acquire(snap.Held); err != nil {
+				return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 			}
-			s.eng.held, s.eng.haveHeld = snap.held, true
+			s.eng.held, s.eng.haveHeld = snap.Held, true
 		}
 	}
 	s.done = s.eng.at
@@ -418,19 +428,19 @@ func (sn *SessionSnapshot) validateModels(sys *zoo.System) error {
 			return nil
 		}
 		if _, err := sys.Entry(model); err != nil {
-			return fmt.Errorf("%w: stream %q needs %q", ErrUnknownModel, sn.name, model)
+			return fmt.Errorf("%w: stream %q needs %q", ErrUnknownModel, sn.Name, model)
 		}
 		return nil
 	}
-	if sn.haveHeld {
-		if err := check(sn.held.Model); err != nil {
+	if sn.HaveHeld {
+		if err := check(sn.Held.Model); err != nil {
 			return err
 		}
 	}
-	if err := check(sn.prev.Model); err != nil {
+	if err := check(sn.Prev.Model); err != nil {
 		return err
 	}
-	if lister, ok := sn.policyState.(interface{ Models() []string }); ok {
+	if lister, ok := sn.PolicyState.(interface{ Models() []string }); ok {
 		for _, m := range lister.Models() {
 			if err := check(m); err != nil {
 				return err
@@ -438,93 +448,6 @@ func (sn *SessionSnapshot) validateModels(sys *zoo.System) error {
 		}
 	}
 	return nil
-}
-
-// SnapshotData is the exported, serialization-friendly view of a
-// SessionSnapshot: every field the durable wire format (internal/checkpoint)
-// must carry to resume the stream in another process. Frames travel by
-// reference — FrameCount pins how many the stream had, and the decoder
-// re-supplies the rendered frames (scenarios are deterministic per seed) —
-// because inlining pixel data would dwarf the checkpoint. Slices are shared
-// with the snapshot; callers serialize or copy, they do not mutate.
-type SnapshotData struct {
-	Name       string
-	PolicyName string
-	PeriodSec  float64
-	// FrameCount is the stream's total frame count; the frames themselves
-	// are re-supplied at decode time.
-	FrameCount int
-
-	Next                 int
-	Base, Done, Deadline time.Duration
-	Prev                 zoo.Pair
-
-	Records []FrameRecord
-	Timings []FrameTiming
-
-	// PolicyState is the portable policy state exactly as SnapshotState
-	// returned it; the checkpoint layer knows the concrete types it encodes.
-	PolicyState any
-	Held        zoo.Pair
-	HaveHeld    bool
-}
-
-// Data exposes the snapshot for serialization.
-func (sn *SessionSnapshot) Data() *SnapshotData {
-	return &SnapshotData{
-		Name:        sn.name,
-		PolicyName:  sn.policyName,
-		PeriodSec:   sn.spec.PeriodSec,
-		FrameCount:  len(sn.spec.Frames),
-		Next:        sn.next,
-		Base:        sn.base,
-		Done:        sn.done,
-		Deadline:    sn.deadline,
-		Prev:        sn.prev,
-		Records:     sn.records,
-		Timings:     sn.timings,
-		PolicyState: sn.policyState,
-		Held:        sn.held,
-		HaveHeld:    sn.haveHeld,
-	}
-}
-
-// SnapshotFromData rebuilds a SessionSnapshot from its serialized view plus
-// the externally re-supplied frames (checkpoints carry frames by reference).
-// The cursor must be consistent with the frame count; the caller picks the
-// policy when it restores, so the rebuilt spec carries none.
-func SnapshotFromData(d *SnapshotData, frames []scene.Frame) (*SessionSnapshot, error) {
-	if len(frames) != d.FrameCount {
-		return nil, fmt.Errorf("runtime: snapshot %q expects %d frames, resupplied %d",
-			d.Name, d.FrameCount, len(frames))
-	}
-	if d.Next < 0 || d.Next > d.FrameCount {
-		return nil, fmt.Errorf("runtime: snapshot %q cursor %d outside 0..%d",
-			d.Name, d.Next, d.FrameCount)
-	}
-	if len(d.Records) != len(d.Timings) {
-		return nil, fmt.Errorf("runtime: snapshot %q has %d records but %d timings",
-			d.Name, len(d.Records), len(d.Timings))
-	}
-	return &SessionSnapshot{
-		spec: StreamSpec{
-			Name:      d.Name,
-			Frames:    frames,
-			PeriodSec: d.PeriodSec,
-		},
-		name:        d.Name,
-		policyName:  d.PolicyName,
-		next:        d.Next,
-		base:        d.Base,
-		done:        d.Done,
-		deadline:    d.Deadline,
-		prev:        d.Prev,
-		records:     d.Records,
-		timings:     d.Timings,
-		policyState: d.PolicyState,
-		held:        d.Held,
-		haveHeld:    d.HaveHeld,
-	}, nil
 }
 
 // Prewarm speculatively loads the given pairs at admission time — the

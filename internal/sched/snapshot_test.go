@@ -93,7 +93,7 @@ func TestSnapshotIsolatedFromSource(t *testing.T) {
 	a := newSched(t, DefaultConfig())
 	decideSeq(t, a, frames[:2])
 	snap := a.Snapshot()
-	wantBox := snap.lastBox
+	wantBox := snap.LastBox
 	var wantPix []uint8
 	if wantBox != nil {
 		wantPix = append([]uint8(nil), wantBox.Pix...)
